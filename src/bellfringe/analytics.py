@@ -35,8 +35,6 @@ SQUEEZING_EDGE = FERRO_EDGE
 # Exclusion window around the second-order transition at lam = -1.
 BREAKDOWN_HALF_WIDTH = 0.02
 
-BISECT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SemiclassicalPrediction:
@@ -108,53 +106,25 @@ def bell_thresholds() -> tuple[float, float, float]:
     return (-0.75, -3.0 / (2.0 * math.sqrt(2.0)), 3.0)
 
 
-def _bisect(f, lo: float, hi: float, tol: float = BISECT_TOL) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError("root not bracketed")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 def analytic_boundary_temperature(lam: float) -> float:
     """Temperature at which the witness crosses zero (nu = 1, no blur).
 
-    Solves xi^2(T) = 1/2 by bracketing and bisection; requires the
-    zero-temperature witness to be negative.
+    xi0^2 coth(omega / 2T) = 1/2 gives T* = omega / (2 artanh(2 xi0^2));
+    requires the zero-temperature witness to be negative.
     """
-    xi0, _ = _branch(lam)
+    xi0, omega = _branch(lam)
     if xi0 >= 0.5:
         raise ValueError("witness is nonnegative already at T = 0")
-
-    def f(t):
-        return thermal_xi2(lam, t) - 0.5
-
-    hi = 1e-6
-    while f(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("no zero crossing found in temperature")
-    return _bisect(f, 0.0, hi)
+    return omega / (2.0 * math.atanh(2.0 * xi0))
 
 
 def analytic_boundary_sigma(lam: float, k_fringe: float) -> float:
     """Detector blur at which the zero-temperature witness crosses zero.
 
-    Solves xi0^2 + (sqrt(1-v^2)-1)/(2 v^2) = 0 with v = exp(-k^2 s^2 / 2)
-    by bisection.  A root requires 1/4 < xi0^2 < 1/2: above 1/2 the witness
-    is never negative, below 1/4 it stays negative at any blur.
+    xi0^2 + (sqrt(1-v^2)-1)/(2 v^2) = 0 gives v^2 = 1 - (1/(2 xi0^2) - 1)^2,
+    and v = exp(-k^2 s^2 / 2) gives s* = sqrt(-ln v^2) / k.  A root requires
+    1/4 < xi0^2 < 1/2: above 1/2 the witness is never negative, below 1/4 it
+    stays negative at any blur.
     """
     if k_fringe <= 0:
         raise ValueError("k_fringe must be positive")
@@ -163,14 +133,5 @@ def analytic_boundary_sigma(lam: float, k_fringe: float) -> float:
         raise ValueError("witness is nonnegative already at sigma = 0")
     if xi0 <= 0.25:
         raise ValueError("witness stays negative for any blur")
-
-    def f(sigma):
-        v = math.exp(-0.5 * (k_fringe * sigma) ** 2)
-        return bell_witness(xi0, v)
-
-    hi = 1e-6
-    while f(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("no zero crossing found in sigma")
-    return _bisect(f, 0.0, hi)
+    # log1p keeps -ln v^2 accurate when v^2 is close to 1 (xi0^2 near 1/2)
+    return math.sqrt(-math.log1p(-((0.5 / xi0 - 1.0) ** 2))) / k_fringe

@@ -3,8 +3,12 @@
 Each simulated shot draws a fringe phase (the quantum shot-to-shot
 fluctuation, normal with variance xi^2/N), samples atom positions from the
 one-body density 1 + nu cos(kx + phase) by rejection, bins them, and fits
-the phase back by least squares.  The sample variance of the fitted phase
-over many shots is compared against the closed-form sensitivity prediction.
+the phase back by least squares, which over whole fringe periods is a
+closed-form Fourier projection of the histogram.  The sample variance of
+the fitted phase over many shots is compared against the closed-form
+sensitivity prediction, and can be set against the least-squares and
+Cramer-Rao reference variances (Pezze et al., Rev. Mod. Phys. 90, 035005
+(2018)).
 """
 
 from __future__ import annotations
@@ -20,24 +24,20 @@ __all__ = [
     "FringeParams",
     "FitResult",
     "SensitivityResult",
-    "FitError",
     "density",
     "sample_shot",
     "draw_shot_phase",
     "fit_phase",
     "verify_sensitivity",
+    "least_squares_variance",
+    "cramer_rao_variance",
 ]
 
 TWO_PI = 2.0 * math.pi
 
 MIN_FIT_POSITIONS = 100
-GN_MAX_ITER = 200
-GN_STEP_TOL = 1e-12
-N_FIT_STARTS = 8
-
-
-class FitError(RuntimeError):
-    """Least-squares fit failed to converge from every starting point."""
+# relative tolerance on window * k / (2 pi) being a whole number of periods
+WHOLE_PERIODS_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,7 @@ class SensitivityResult:
     mean_deviation: float
     std_error: float
     n_shots: int
+    # always 0: the projection fit has no failure mode; kept for the report
     n_failed: int
 
 
@@ -134,7 +135,12 @@ def draw_shot_phase(phi: float, xi2: float, n_atoms: int, rng_seed) -> float:
 
 
 def _bin_positions(positions: np.ndarray, k: float, window: float):
-    n_periods = int(round(window * k / TWO_PI))
+    periods = window * k / TWO_PI
+    n_periods = round(periods)
+    if n_periods < 1 or abs(periods - n_periods) > WHOLE_PERIODS_RTOL * periods:
+        raise ValueError(
+            f"window holds {periods!r} periods; the fit needs a whole number"
+        )
     bins_per_period = math.ceil(math.sqrt(len(positions)))
     n_bins = n_periods * bins_per_period
     counts, edges = np.histogram(positions, bins=n_bins, range=(0.0, window))
@@ -159,68 +165,29 @@ def fit_phase(
 ) -> FitResult:
     """Least-squares fit of 1 + nu cos(kx + phi) to the binned histogram.
 
-    Gauss-Newton from 8 equispaced phase starting points; the start with the
-    smallest residual wins.  With ``fit_visibility`` off the contrast is held
-    at ``nu_fixed`` and only the phase is adjusted.
+    The model is linear in (nu cos phi, nu sin phi), and over whole periods
+    the cos kx and sin kx bin columns are orthogonal with squared norm M/2
+    (M bins), so the least-squares solution is the Fourier projection
+    c = (2/M) sum (h-1) cos kx, s = (2/M) sum (h-1) sin kx, giving
+    phi = atan2(-s, c) and nu = hypot(c, s).  With ``fit_visibility`` off
+    the contrast is held at ``nu_fixed``; over whole periods that does not
+    move the optimal phase.  The projection has no failure mode.  The window
+    must hold a whole number of periods (``ValueError`` otherwise).
     """
     positions = np.asarray(positions)
     if len(positions) < MIN_FIT_POSITIONS:
         raise ValueError(f"need at least {MIN_FIT_POSITIONS} positions to fit")
+    if not fit_visibility and nu_fixed is None:
+        raise ValueError("nu_fixed required when fit_visibility is off")
     centers, h = _bin_positions(positions, k, window)
     kx = k * centers
-
-    phi = TWO_PI * np.arange(N_FIT_STARTS) / N_FIT_STARTS
-    if fit_visibility:
-        nu = np.full(N_FIT_STARTS, 0.5)
-    else:
-        if nu_fixed is None:
-            raise ValueError("nu_fixed required when fit_visibility is off")
-        nu = np.full(N_FIT_STARTS, float(nu_fixed))
-    active = np.ones(N_FIT_STARTS, dtype=bool)
-
-    for _ in range(GN_MAX_ITER):
-        arg = kx[None, :] + phi[:, None]
-        cos_arg = np.cos(arg)
-        sin_arg = np.sin(arg)
-        r = 1.0 + nu[:, None] * cos_arg - h[None, :]
-        j_phi = -nu[:, None] * sin_arg
-        a22 = (j_phi * j_phi).sum(axis=1)
-        b2 = -(j_phi * r).sum(axis=1)
-        if fit_visibility:
-            a11 = (cos_arg * cos_arg).sum(axis=1)
-            a12 = (cos_arg * j_phi).sum(axis=1)
-            b1 = -(cos_arg * r).sum(axis=1)
-            det = a11 * a22 - a12 * a12
-            ok = active & (np.abs(det) > 1e-30)
-            d_nu = np.where(ok, (a22 * b1 - a12 * b2) / np.where(ok, det, 1.0), 0.0)
-            d_phi = np.where(ok, (a11 * b2 - a12 * b1) / np.where(ok, det, 1.0), 0.0)
-        else:
-            ok = active & (a22 > 1e-30)
-            d_nu = np.zeros(N_FIT_STARTS)
-            d_phi = np.where(ok, b2 / np.where(ok, a22, 1.0), 0.0)
-        nu = nu + d_nu
-        phi = phi + d_phi
-        step = np.maximum(np.abs(d_nu), np.abs(d_phi))
-        active = ok & (step > GN_STEP_TOL)
-        if not active.any():
-            break
-
-    arg = kx[None, :] + phi[:, None]
-    r = 1.0 + nu[:, None] * np.cos(arg) - h[None, :]
-    sse = (r * r).sum(axis=1)
-    sse = np.where(np.isfinite(sse) & np.isfinite(phi) & np.isfinite(nu), sse, np.inf)
-    best = int(np.argmin(sse))
-    if not np.isfinite(sse[best]):
-        raise FitError("Gauss-Newton diverged from all starting points")
-
-    best_nu, best_phi = float(nu[best]), float(phi[best])
-    if best_nu < 0:  # sign ambiguity: (-nu, phi) == (nu, phi + pi)
-        best_nu, best_phi = -best_nu, best_phi + math.pi
-    return FitResult(
-        phi_est=wrap_phase(best_phi),
-        nu_fit=best_nu,
-        residual=float(sse[best]),
-    )
+    excess = h - 1.0
+    c = 2.0 / len(h) * np.dot(excess, np.cos(kx))
+    s = 2.0 / len(h) * np.dot(excess, np.sin(kx))
+    phi = math.atan2(-s, c)
+    nu = math.hypot(c, s) if fit_visibility else float(nu_fixed)
+    r = nu * np.cos(kx + phi) - excess
+    return FitResult(phi_est=wrap_phase(phi), nu_fit=nu, residual=float(np.dot(r, r)))
 
 
 def verify_sensitivity(
@@ -243,24 +210,17 @@ def verify_sensitivity(
 
     children = np.random.SeedSequence(rng_seed).spawn(n_shots)
     deviations = []
-    n_failed = 0
     for child in children:
         rng = np.random.default_rng(child)
         shot_phase = draw_shot_phase(params.phi, xi2, params.n_atoms, rng)
         positions = sample_shot(params, shot_phase, rng)
-        try:
-            fit = fit_phase(
-                positions,
-                params.k,
-                params.window,
-                fit_visibility=fit_visibility,
-                nu_fixed=None if fit_visibility else params.nu,
-            )
-        except FitError:
-            n_failed += 1
-            if n_failed > 0.01 * n_shots:
-                raise RuntimeError("more than 1% of shots failed to fit")
-            continue
+        fit = fit_phase(
+            positions,
+            params.k,
+            params.window,
+            fit_visibility=fit_visibility,
+            nu_fixed=None if fit_visibility else params.nu,
+        )
         deviations.append(wrap_phase(fit.phi_est - params.phi))
 
     dev = np.asarray(deviations)
@@ -272,5 +232,19 @@ def verify_sensitivity(
         mean_deviation=float(dev.mean()),
         std_error=float(dev.std(ddof=1) / math.sqrt(len(dev))),
         n_shots=n_shots,
-        n_failed=n_failed,
+        n_failed=0,
     )
+
+
+def least_squares_variance(xi2: float, nu: float, n_atoms: int) -> float:
+    """Large-N phase variance of the binned least-squares fit,
+    (xi^2 + 2/nu^2) / N."""
+    return (xi2 + 2.0 / nu ** 2) / n_atoms
+
+
+def cramer_rao_variance(xi2: float, nu: float, n_atoms: int) -> float:
+    """Cramer-Rao bound for unbiased phase estimates from N positions drawn
+    from 1 + nu cos(kx + phi), plus the shot-phase spread:
+    (xi^2 + 1/(1 - sqrt(1-nu^2))) / N, with 1/(1 - sqrt(1-nu^2)) written as
+    (1 + sqrt(1-nu^2))/nu^2 to avoid cancellation at small nu."""
+    return (xi2 + (1.0 + math.sqrt(1.0 - nu * nu)) / nu ** 2) / n_atoms

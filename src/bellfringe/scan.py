@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -108,8 +110,27 @@ class ScanSpec:
             raise ValueError(
                 f"mode {self.mode!r} requires noise_axis {MODE_AXIS[self.mode]!r}"
             )
+        if isinstance(self.n_particles, bool) or not isinstance(
+            self.n_particles, numbers.Integral
+        ):
+            raise ValueError(
+                f"n_particles must be an integer, got {self.n_particles!r}"
+            )
+        if self.n_particles < 1:
+            raise ValueError("n_particles must be >= 1")
         if len(self.lambda_grid) == 0 or len(self.noise_grid) == 0:
             raise ValueError("grids must be nonempty")
+        if not all(math.isfinite(lam) for lam in self.lambda_grid):
+            raise ValueError("lambda_grid values must be finite")
+        # T = inf is the infinite-temperature limit; the widths must be finite
+        thermal = self.mode == "thermal"
+        if not all(v >= 0 and (thermal or math.isfinite(v)) for v in self.noise_grid):
+            raise ValueError(
+                f"noise_grid ({self.noise_axis}) values must be nonnegative"
+                " and, outside thermal mode, finite"
+            )
+        if not (math.isfinite(self.k_fringe) and self.k_fringe > 0):
+            raise ValueError("k_fringe must be positive and finite")
         if list(self.lambda_grid) != sorted(self.lambda_grid) or list(
             self.noise_grid
         ) != sorted(self.noise_grid):

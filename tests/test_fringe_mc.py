@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings, strategies as st
+from scipy import optimize, stats
 
 from bellfringe import (
     FringeParams,
@@ -164,6 +165,70 @@ class TestFitPhase:
         a = fit_phase(sample_shot(p, 0.4, 31), p.k, p.window)
         b = fit_phase(sample_shot(p, 0.4 + TWO_PI, 31), p.k, p.window)
         assert wrap_phase(a.phi_est - b.phi_est) == pytest.approx(0.0, abs=1e-9)
+
+
+def binned_excess(x, k, n_periods):
+    """(k * bin centres, h - 1) of the mean-1 histogram, binned as the fit
+    documents: n_periods * ceil(sqrt(M)) equal bins over the window."""
+    window = n_periods * TWO_PI / k
+    n_bins = n_periods * math.ceil(math.sqrt(len(x)))
+    counts, edges = np.histogram(x, bins=n_bins, range=(0.0, window))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return k * centers, counts * (n_bins / len(x)) - 1.0
+
+
+fringe_shots = st.builds(
+    FringeParams,
+    nu=st.floats(0.0, 1.0),
+    phi=st.floats(-math.pi, math.pi),
+    k=st.floats(0.2, 5.0),
+    n_atoms=st.integers(100, 3000),
+    n_periods=st.integers(1, 12),
+)
+
+
+class TestFitOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(fringe_shots, st.integers(0, 2**32 - 1))
+    def test_free_visibility_matches_lstsq(self, p, seed):
+        x = sample_shot(p, p.phi, seed)
+        kx, excess = binned_excess(x, p.k, p.n_periods)
+        design = np.column_stack([np.cos(kx), -np.sin(kx)])
+        (nu_cos, nu_sin), *_ = np.linalg.lstsq(design, excess, rcond=None)
+        fit = fit_phase(x, p.k, p.window)
+        assert fit.nu_fit * math.cos(fit.phi_est) == pytest.approx(nu_cos, abs=1e-10)
+        assert fit.nu_fit * math.sin(fit.phi_est) == pytest.approx(nu_sin, abs=1e-10)
+
+    @settings(max_examples=80, deadline=None)
+    @given(fringe_shots.filter(lambda p: p.nu >= 0.2), st.integers(0, 2**32 - 1))
+    def test_fixed_visibility_matches_scalar_minimisation(self, p, seed):
+        x = sample_shot(p, p.phi, seed)
+        kx, excess = binned_excess(x, p.k, p.n_periods)
+
+        def sse(phi):
+            r = p.nu * np.cos(kx + phi) - excess
+            return float(r @ r)
+
+        grid = np.linspace(-math.pi, math.pi, 64, endpoint=False)
+        start = grid[np.argmin([sse(g) for g in grid])]
+        step = TWO_PI / 64
+        best = optimize.minimize_scalar(
+            sse,
+            bounds=(start - step, start + step),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        fit = fit_phase(x, p.k, p.window, fit_visibility=False, nu_fixed=p.nu)
+        assert fit.nu_fit == p.nu
+        assert fit.residual == pytest.approx(sse(fit.phi_est), rel=1e-12)
+        assert fit.residual <= best.fun * (1.0 + 1e-12)
+        assert wrap_phase(fit.phi_est - best.x) == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("periods", [0.4, 2.5, 8.0 * (1.0 + 1e-7)])
+    def test_partial_period_window_rejected(self, periods):
+        x = sample_shot(make_params(n_periods=8), 0.0, 4)
+        with pytest.raises(ValueError, match="whole number"):
+            fit_phase(x, 2.0, periods * TWO_PI / 2.0)
 
 
 class TestVerifySensitivity:

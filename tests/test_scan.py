@@ -312,7 +312,16 @@ class TestCli:
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "empirical variance" in out and "ratio" in out
+        keys = [line.partition(":")[0].strip() for line in out.splitlines()]
+        assert keys == [
+            "empirical variance",
+            "predicted variance",
+            "ratio",
+            "mean deviation",
+            "failed fits",
+            "least-squares ref",
+            "cramer-rao bound",
+        ]
 
     def test_analytics_command(self, capsys):
         rc = cli_main(["analytics", "--lam", "8.0", "--lam", "-0.5"])
@@ -331,6 +340,36 @@ class TestCli:
         cfg = self.write_config(tmp_path, {"n_particles": 10})  # no lambda_grid
         rc = cli_main(["scan", "--config", cfg, "--out", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"n_particles": 100.0},
+            {"n_particles": 0},
+            {"mode": "thermal", "noise_axis": "temperature", "noise_grid": [-1.0]},
+            {"lambda_grid": [0.5, float("nan"), 1.0]},
+            {
+                "mode": "blurred",
+                "noise_axis": "sigma_detector",
+                "noise_grid": [-0.5],
+                "k_fringe": -1.0,
+            },
+        ],
+        ids=[
+            "float_n",
+            "zero_n",
+            "negative_temperature",
+            "nan_lambda",
+            "negative_k_and_sigma",
+        ],
+    )
+    def test_bad_spec_is_config_error(self, tmp_path, overrides):
+        cfg = self.write_config(
+            tmp_path, {"n_particles": 100, "lambda_grid": [1.0], **overrides}
+        )
+        rc = cli_main(["scan", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
 
     def test_threads_env_override(self, tmp_path, monkeypatch):
         cfg = self.write_config(
