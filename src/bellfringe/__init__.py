@@ -12,6 +12,7 @@ from .spin_core import (  # noqa: F401
     compute_moments,
     ensemble_moments,
     ladder_coefficient,
+    moment_table,
     rotate_pi2_about_x,
 )
 from .josephson import (  # noqa: F401
@@ -35,7 +36,6 @@ from .witnesses import (  # noqa: F401
     optimal_theta,
     param_a,
     phase_squeezing,
-    relation_check,
     report_from_moments,
     sensitivity,
     visibility,

@@ -4,6 +4,10 @@ In the Jz eigenbasis the Hamiltonian is a real symmetric tridiagonal matrix;
 its diagonal holds the interaction and tilt terms and its off-diagonal the
 (negated) Jx ladder elements.  Energies are in units of the Josephson
 tunneling energy E_J, temperatures in units of E_J / k_B.
+
+Thermal averages need only the occupied bottom of the spectrum, which
+``low_spectrum`` diagonalizes: the states within an energy window of the
+ground state, -ln(THERMAL_WEIGHT_CUTOFF) T wide for temperature T.
 """
 
 from __future__ import annotations
@@ -14,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .spin_core import (
-    SpinState,
-    StateEnsemble,
-    build_basis,
-    compute_moments,
-)
+from .spin_core import SpinState, StateEnsemble, build_basis
 
 __all__ = [
     "ModelParams",
@@ -29,20 +28,24 @@ __all__ = [
     "build_hamiltonian",
     "ground_state",
     "full_spectrum",
+    "low_spectrum",
+    "boltzmann_weights",
     "thermal_ensemble",
     "FULL_SPECTRUM_CAP",
+    "THERMAL_WEIGHT_CUTOFF",
 ]
 
 FULL_SPECTRUM_CAP = 4000
+
+# Relative Boltzmann weight below which a state counts as thermally empty.
+THERMAL_WEIGHT_CUTOFF = 1e-16
 
 RESIDUAL_TOL = 1e-8
 ORTHO_TOL = 1e-8
 
 # Relative tolerance under which eigenvector components tie for the largest
-# magnitude (see _fix_signs).  SIGN_CONVENTION names the rule, so stored
-# eigenvectors can be told apart from ones fixed under another rule.
+# magnitude (see _fix_signs).
 SIGN_TIE_RTOL = 1e-8
-SIGN_CONVENTION = "maxabs-positive-lowest-index"
 
 
 class ConvergenceError(RuntimeError):
@@ -138,8 +141,7 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _solve(params: ModelParams, **select) -> tuple[np.ndarray, np.ndarray]:
-    h = build_hamiltonian(params)
+def _solve(h: SymTridiag, **select) -> tuple[np.ndarray, np.ndarray]:
     try:
         energies, vectors = eigh_tridiagonal(h.diag, h.offdiag, **select)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
@@ -159,7 +161,8 @@ def ground_state(params: ModelParams) -> tuple[float, SpinState]:
     vector is then an eigensolver-dependent mixture of the two parity states
     and only parity-even moments (<Jx>, <Jx^2>, <Jy^2>, <Jz^2>) are defined.
     """
-    energies, vectors = _solve(params, select="i", select_range=(0, 0), lapack_driver="stebz")
+    h = build_hamiltonian(params)
+    energies, vectors = _solve(h, select="i", select_range=(0, 0), lapack_driver="stebz")
     basis = build_basis(params.n_particles)
     return float(energies[0]), SpinState(basis, vectors[:, 0])
 
@@ -177,39 +180,55 @@ def full_spectrum(params: ModelParams, cap: int = FULL_SPECTRUM_CAP) -> Spectrum
         raise ValueError(
             f"n_particles={params.n_particles} exceeds full-spectrum cap {cap}"
         )
-    energies, vectors = _solve(params)
+    energies, vectors = _solve(build_hamiltonian(params))
     basis = build_basis(params.n_particles)
     states = tuple(SpinState(basis, vectors[:, k]) for k in range(vectors.shape[1]))
     return Spectrum(params, energies, states)
 
 
-def _partial_spectrum(params: ModelParams, energy_window: float):
-    """Eigenpairs with E - E0 <= energy_window (ascending)."""
+def low_spectrum(params: ModelParams, energy_window: float):
+    """Eigenpairs with E - E0 <= ``energy_window``, ascending in energy.
+
+    Only the window is diagonalized (MRRR, LAPACK ``stemr``), so the residual
+    and orthonormality checks cost O(N K^2) for K kept states instead of
+    O(N^3); every kept vector follows the sign convention of ``_fix_signs``.
+    Returns ``(energies, vectors)`` with the states as columns.
+    """
     h = build_hamiltonian(params)
     e0 = eigh_tridiagonal(
         h.diag, h.offdiag, eigvals_only=True, select="i", select_range=(0, 0),
         lapack_driver="stebz",
     )[0]
-    energies, vectors = _solve(
-        params, select="v", select_range=(e0 - 1.0, e0 + energy_window)
+    # drivers round E0 apart by far less than the residual tolerance; the
+    # margin keeps the ground state inside even a zero-width window
+    margin = RESIDUAL_TOL * h.norm_estimate
+    return _solve(
+        h, select="v", select_range=(e0 - margin, e0 + energy_window + margin),
+        lapack_driver="stemr",
     )
-    return energies, vectors
+
+
+def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
+    """Unit-sum weights exp(-(E_n - E0) / T) of ascending energies, T > 0."""
+    weights = np.exp(-(energies - energies[0]) / temperature)
+    return weights / weights.sum()
 
 
 def thermal_ensemble(
     params: ModelParams,
     temperature: float,
-    weight_cutoff: float = 1e-16,
+    weight_cutoff: float = THERMAL_WEIGHT_CUTOFF,
 ) -> StateEnsemble:
     """Boltzmann mixture of eigenstates at k_B T / E_J = ``temperature``.
 
-    Weights are exp(-beta (E_n - E0)), normalized to unit sum.  States whose
-    relative weight falls below ``weight_cutoff`` are dropped, so only the
-    thermally occupied part of the spectrum is diagonalized.
+    Weights are exp(-(E_n - E0) / T), normalized to unit sum, over the
+    ``low_spectrum`` window -ln(weight_cutoff) T wide: states whose relative
+    weight falls below ``weight_cutoff`` are never diagonalized.  T = 0 is
+    the ground state; T = inf is the uniform mixture of the full spectrum
+    (capped at ``FULL_SPECTRUM_CAP``).
     """
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    basis = build_basis(params.n_particles)
     if temperature == 0:
         _, gs = ground_state(params)
         return StateEnsemble((gs,), np.array([1.0]))
@@ -218,16 +237,7 @@ def thermal_ensemble(
         n = len(spec.states)
         return StateEnsemble(spec.states, np.full(n, 1.0 / n))
 
-    beta = 1.0 / temperature
-    # exp(-beta dE) < cutoff  <=>  dE > -ln(cutoff) / beta
-    window = -math.log(weight_cutoff) / beta
-    energies, vectors = _partial_spectrum(params, window)
-    rel = energies - energies[0]
-    weights = np.exp(-beta * rel)
-    keep = weights >= weight_cutoff * weights.max()
-    weights = weights[keep]
-    weights /= weights.sum()
-    states = tuple(
-        SpinState(basis, vectors[:, k]) for k in np.flatnonzero(keep)
-    )
-    return StateEnsemble(states, weights)
+    energies, vectors = low_spectrum(params, -math.log(weight_cutoff) * temperature)
+    basis = build_basis(params.n_particles)
+    states = tuple(SpinState(basis, vectors[:, k]) for k in range(vectors.shape[1]))
+    return StateEnsemble(states, boltzmann_weights(energies, temperature))

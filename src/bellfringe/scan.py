@@ -5,6 +5,12 @@ state or ensemble for each grid point, and emits one row of witness
 quantities per point.  Rows are computed pointwise, so results do not
 depend on grid ordering, and per-point failures are recorded in an error
 column instead of aborting the scan.
+
+A thermal scan diagonalizes each lambda once, over the energy window the
+largest finite temperature of the grid occupies, and reduces the kept
+states to a K x 6 moment table; every temperature of the column is a
+Boltzmann average of that table.  T = 0 reads the ground-state row, and
+T = inf needs no spectrum at all, because Tr(Jx) = 0 leaves no fringes.
 """
 
 from __future__ import annotations
@@ -22,21 +28,21 @@ import numpy as np
 
 from . import __version__
 from .josephson import (
-    SIGN_CONVENTION,
+    THERMAL_WEIGHT_CUTOFF,
     ModelParams,
-    Spectrum,
-    full_spectrum,
+    boltzmann_weights,
     ground_state,
+    low_spectrum,
 )
 from .noise import blur_visibility, delta_mixture
 from .spin_core import (
     Moments,
-    SpinState,
     build_basis,
     compute_moments,
     ensemble_moments,
+    moment_table,
 )
-from .witnesses import VisibilityError, build_report, report_from_moments
+from .witnesses import VisibilityError, build_report, report_from_moments, visibility
 
 __all__ = [
     "ScanSpec",
@@ -59,6 +65,7 @@ MODE_AXIS = {
 }
 
 NU_FLOOR = 1e-6
+FLOOR_ERROR = "visibility below threshold"
 
 CSV_HEADER = (
     "lambda,noise_value,nu,xi2,a_param,b_param,theta0,"
@@ -169,13 +176,23 @@ def _expand_grid(grid):
     return [float(x) for x in grid]
 
 
-class SpectrumCache:
-    """Write-once on-disk memoization of full spectra keyed by (N, lam, delta)
-    and the eigenvector sign convention, so vectors stored under another
-    convention are never served as if they met the current one.
+def _thermal_table(params: ModelParams, energy_window: float):
+    """Energies and K x 6 moment table of the states within the window."""
+    energies, vectors = low_spectrum(params, energy_window)
+    return energies, moment_table(build_basis(params.n_particles), vectors)
 
-    Files are written to a temporary name and atomically renamed, so
-    concurrent writers cannot corrupt each other.
+
+class SpectrumCache:
+    """On-disk memoization of thermal moment tables keyed by (N, lam, delta).
+
+    A file holds the energies and the K x 6 moment table of the states with
+    E - E0 <= window, and the window itself.  It is served to any request
+    for a window no wider than the stored one (the extra states carry less
+    than the Boltzmann cutoff in weight); a wider request recomputes and
+    replaces it.  Moments are quadratic in the eigenvectors, so the table
+    does not depend on their sign convention.  Files are written to a
+    temporary name and atomically renamed, so concurrent writers cannot
+    corrupt each other.
     """
 
     def __init__(self, directory: str):
@@ -184,98 +201,62 @@ class SpectrumCache:
 
     def _path(self, params: ModelParams) -> str:
         key = (
-            f"spectrum:signs={SIGN_CONVENTION}:N={params.n_particles}"
+            f"moment-table:N={params.n_particles}"
             f":lam={params.lam!r}:delta={params.delta!r}"
         )
         digest = hashlib.sha256(key.encode()).hexdigest()
         return os.path.join(self.directory, f"{digest}.npz")
 
-    def get_or_compute(self, params: ModelParams) -> Spectrum:
+    def moment_table(self, params: ModelParams, energy_window: float):
+        """``(energies, table)`` covering at least ``energy_window``."""
         path = self._path(params)
         if os.path.exists(path):
             with np.load(path) as data:
-                energies = data["energies"]
-                vectors = data["vectors"]
-            basis = build_basis(params.n_particles)
-            states = tuple(
-                SpinState(basis, vectors[:, k]) for k in range(vectors.shape[1])
-            )
-            return Spectrum(params, energies, states)
-        spectrum = full_spectrum(params)
-        vectors = np.column_stack([st.coeffs for st in spectrum.states])
+                if float(data["window"]) >= energy_window:
+                    return data["energies"], data["table"]
+        energies, table = _thermal_table(params, energy_window)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             # write through the descriptor: np.savez would append ".npz" to a
             # bare filename and break the atomic rename
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, energies=spectrum.energies, vectors=vectors)
+                np.savez(fh, energies=energies, table=table, window=energy_window)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        return spectrum
+        return energies, table
 
 
 def _rotation_for(spec: ScanSpec, lam: float) -> bool:
     return spec.rotation == "auto" and lam > 0
 
 
+def _row_from_report(lam: float, noise_value: float, report) -> ScanRow:
+    return ScanRow(
+        lam=lam,
+        noise_value=noise_value,
+        interior_minimum=report.interior_minimum,
+        rotated=report.rotated,
+        **{name: getattr(report, name) for name in ROW_FIELDS},
+    )
+
+
+def _error_row(lam, noise_value, rotate, error) -> ScanRow:
+    """Row with an error marker: a message, or the exception that was raised."""
+    if isinstance(error, Exception):
+        error = f"{type(error).__name__}: {error}"
+    return ScanRow(lam=lam, noise_value=noise_value, rotated=rotate, error=error)
+
+
 def _row_from_moments(
     spec: ScanSpec, lam: float, noise_value: float, moments: Moments, rotate: bool
 ) -> ScanRow:
     # rotation leaves jx alone, so the nu floor can be probed before rotating
-    nu = 2.0 * abs(moments.jx) / spec.n_particles
-    if nu < NU_FLOOR:
-        return ScanRow(
-            lam=lam,
-            noise_value=noise_value,
-            rotated=rotate,
-            error="visibility below threshold",
-        )
+    if visibility(moments, spec.n_particles) < NU_FLOOR:
+        return _error_row(lam, noise_value, rotate, FLOOR_ERROR)
     report = report_from_moments(moments, spec.n_particles, apply_rotation=rotate)
-    return ScanRow(
-        lam=lam,
-        noise_value=noise_value,
-        nu=report.nu,
-        xi2=report.xi2,
-        a_param=report.a_param,
-        b_param=report.b_param,
-        theta0=report.theta0,
-        interior_minimum=report.interior_minimum,
-        rotated=report.rotated,
-        var_phi=report.var_phi,
-        error="",
-    )
-
-
-def _error_row(spec: ScanSpec, lam, noise_value, rotate, exc) -> ScanRow:
-    return ScanRow(
-        lam=lam,
-        noise_value=noise_value,
-        rotated=rotate,
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
-def _thermal_moments_table(spectrum: Spectrum) -> np.ndarray:
-    """Per-eigenstate moments, rows aligned with spectrum order."""
-    table = np.empty((len(spectrum.states), 6))
-    for i, st in enumerate(spectrum.states):
-        m = compute_moments(st)
-        table[i] = (m.jx, m.jy, m.jz, m.jx2, m.jy2, m.jz2)
-    return table
-
-
-def _thermal_average(spectrum: Spectrum, table: np.ndarray, temperature: float) -> Moments:
-    if temperature == 0:
-        return Moments(*table[0])
-    rel = spectrum.energies - spectrum.energies[0]
-    if np.isinf(temperature):
-        weights = np.full(len(rel), 1.0 / len(rel))
-    else:
-        weights = np.exp(-rel / temperature)
-        weights /= weights.sum()
-    return Moments(*(weights @ table))
+    return _row_from_report(lam, noise_value, report)
 
 
 def _scan_one_lambda(spec: ScanSpec, lam: float, cache: SpectrumCache) -> list:
@@ -288,24 +269,29 @@ def _scan_one_lambda(spec: ScanSpec, lam: float, cache: SpectrumCache) -> list:
                 _row_from_moments(spec, lam, 0.0, compute_moments(state), rotate)
             )
         except Exception as exc:
-            rows.append(_error_row(spec, lam, 0.0, rotate, exc))
+            rows.append(_error_row(lam, 0.0, rotate, exc))
     elif spec.mode == "thermal":
         params = ModelParams(spec.n_particles, lam, 0.0)
+        finite = [t for t in spec.noise_grid if not math.isinf(t)]
         try:
-            spectrum = (
-                cache.get_or_compute(params) if cache else full_spectrum(params)
-            )
-            table = _thermal_moments_table(spectrum)
+            if finite:
+                window = -math.log(THERMAL_WEIGHT_CUTOFF) * max(finite)
+                energies, table = (
+                    cache.moment_table(params, window)
+                    if cache
+                    else _thermal_table(params, window)
+                )
         except Exception as exc:
-            return [
-                _error_row(spec, lam, t, rotate, exc) for t in spec.noise_grid
-            ]
+            return [_error_row(lam, t, rotate, exc) for t in spec.noise_grid]
         for t in spec.noise_grid:
             try:
-                moments = _thermal_average(spectrum, table, t)
-                rows.append(_row_from_moments(spec, lam, t, moments, rotate))
+                if math.isinf(t):
+                    rows.append(_error_row(lam, t, rotate, FLOOR_ERROR))
+                    continue
+                mean = table[0] if t == 0 else boltzmann_weights(energies, t) @ table
+                rows.append(_row_from_moments(spec, lam, t, Moments(*mean), rotate))
             except Exception as exc:
-                rows.append(_error_row(spec, lam, t, rotate, exc))
+                rows.append(_error_row(lam, t, rotate, exc))
     elif spec.mode == "delta_mixture":
         for sd in spec.noise_grid:
             try:
@@ -314,7 +300,7 @@ def _scan_one_lambda(spec: ScanSpec, lam: float, cache: SpectrumCache) -> list:
                     _row_from_moments(spec, lam, sd, ensemble_moments(ens), rotate)
                 )
             except Exception as exc:
-                rows.append(_error_row(spec, lam, sd, rotate, exc))
+                rows.append(_error_row(lam, sd, rotate, exc))
     else:  # blurred
         try:
             _, state = ground_state(ModelParams(spec.n_particles, lam, 0.0))
@@ -322,42 +308,17 @@ def _scan_one_lambda(spec: ScanSpec, lam: float, cache: SpectrumCache) -> list:
                 compute_moments(state), spec.n_particles, apply_rotation=rotate
             )
         except Exception as exc:
-            return [
-                _error_row(spec, lam, s, rotate, exc) for s in spec.noise_grid
-            ]
+            return [_error_row(lam, s, rotate, exc) for s in spec.noise_grid]
         for sigma in spec.noise_grid:
             try:
                 nu_b = blur_visibility(base.nu, spec.k_fringe, sigma)
                 if nu_b < NU_FLOOR:
-                    rows.append(
-                        ScanRow(
-                            lam=lam,
-                            noise_value=sigma,
-                            rotated=rotate,
-                            error="visibility below threshold",
-                        )
-                    )
+                    rows.append(_error_row(lam, sigma, rotate, FLOOR_ERROR))
                     continue
-                report = build_report(
-                    base.xi2, nu_b, spec.n_particles, rotated=rotate
-                )
-                rows.append(
-                    ScanRow(
-                        lam=lam,
-                        noise_value=sigma,
-                        nu=report.nu,
-                        xi2=report.xi2,
-                        a_param=report.a_param,
-                        b_param=report.b_param,
-                        theta0=report.theta0,
-                        interior_minimum=report.interior_minimum,
-                        rotated=report.rotated,
-                        var_phi=report.var_phi,
-                        error="",
-                    )
-                )
+                report = build_report(base.xi2, nu_b, spec.n_particles, rotated=rotate)
+                rows.append(_row_from_report(lam, sigma, report))
             except Exception as exc:
-                rows.append(_error_row(spec, lam, sigma, rotate, exc))
+                rows.append(_error_row(lam, sigma, rotate, exc))
     return rows
 
 

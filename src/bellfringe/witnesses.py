@@ -27,13 +27,16 @@ __all__ = [
     "optimal_theta",
     "bell_witness",
     "fringe_factor",
-    "relation_check",
     "minimize_bell_direct",
     "build_report",
     "report_from_moments",
 ]
 
 IDENTITY_TOL = 1e-10
+# Rounding excess of 2|<Jx>|/N over 1 that still counts as nu = 1: 32 ulp of
+# 1.0.  The coherent state (lam = 0) reaches up to 8 ulp over N = 1..5000;
+# a real defect, such as a state off unit norm by NORM_TOL, is far larger.
+NU_ROUNDING_SLACK = 32 * np.finfo(float).eps
 
 
 class VisibilityError(ValueError):
@@ -41,8 +44,13 @@ class VisibilityError(ValueError):
 
 
 def visibility(moments: Moments, n_particles: int) -> float:
-    """Fringe contrast nu = 2 |<Jx>| / N, in [0, 1]."""
-    return 2.0 * abs(moments.jx) / n_particles
+    """Fringe contrast nu = 2 |<Jx>| / N, in [0, 1]; an excess over 1 of at
+    most ``NU_ROUNDING_SLACK`` is rounding and reads as 1, a larger one raises
+    VisibilityError."""
+    nu = float(2.0 * abs(moments.jx) / n_particles)
+    if nu > 1.0 + NU_ROUNDING_SLACK:
+        raise VisibilityError(f"nu = {nu!r} outside (0, 1]")
+    return min(nu, 1.0)
 
 
 def phase_squeezing(moments: Moments, n_particles: int) -> float:
@@ -194,14 +202,6 @@ def report_from_moments(
         raise VisibilityError("nu = 0: no fringes to fit")
     xi2 = phase_squeezing(moments, n_particles)
     return build_report(xi2, nu, n_particles, rotated=apply_rotation)
-
-
-def relation_check(report: WitnessReport) -> bool:
-    """True iff b = a + f(nu) holds to 1e-10."""
-    return (
-        abs(report.b_param - report.a_param - fringe_factor(report.nu))
-        <= IDENTITY_TOL
-    )
 
 
 def _require_visibility(nu: float):

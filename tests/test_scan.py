@@ -10,6 +10,7 @@ from bellfringe import (
     ScanRow,
     ScanSpec,
     bell_witness,
+    build_report,
     compute_moments,
     emit_outputs,
     extract_region_boundary,
@@ -21,11 +22,53 @@ from bellfringe import (
     visibility,
 )
 from bellfringe.cli import main as cli_main
-from bellfringe.scan import CSV_HEADER, SpectrumCache, make_evaluator, rows_to_csv
+from bellfringe.scan import (
+    CSV_HEADER,
+    FLOOR_ERROR,
+    SpectrumCache,
+    make_evaluator,
+    rows_to_csv,
+)
+
+from oracles import dense_hamiltonian, dense_spin_matrices
 
 
 def ground_spec(lams, **kw):
     return ScanSpec(n_particles=kw.pop("n", 100), lambda_grid=tuple(lams), **kw)
+
+
+def thermal_spec(n, lams, temperatures):
+    return ScanSpec(
+        n_particles=n,
+        lambda_grid=tuple(lams),
+        mode="thermal",
+        noise_axis="temperature",
+        noise_grid=tuple(temperatures),
+    )
+
+
+def dense_thermal_report(n, lam, temperature):
+    """Witness report of the Boltzmann state over all N+1 levels, by dense
+    diagonalization and traces; None where the state shows no fringes."""
+    if math.isinf(temperature):
+        return None
+    energies, vectors = np.linalg.eigh(dense_hamiltonian(n, lam, 0.0))
+    weights = np.zeros(n + 1)
+    if temperature == 0:
+        weights[0] = 1.0
+    else:
+        weights = np.exp(-(energies - energies[0]) / temperature)
+        weights /= weights.sum()
+    rho = (vectors * weights) @ vectors.T
+    jx, jy, jz = dense_spin_matrices(n)
+
+    def ev(op):
+        return float(np.trace(rho @ op).real)
+
+    # the auto rotation for lam > 0 turns <Jz^2> into <Jy^2>
+    jy2 = ev(jz @ jz) if lam > 0 else ev(jy @ jy)
+    mean_jx = ev(jx)
+    return build_report(n * jy2 / mean_jx**2, 2 * abs(mean_jx) / n, n, rotated=lam > 0)
 
 
 class TestScanSpec:
@@ -149,6 +192,52 @@ class TestRunScan:
         assert not rows[0].error
         assert rows[1].error == "visibility below threshold"
         assert math.isnan(rows[1].b_param)
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_thermal_rows_match_dense_boltzmann(self, n):
+        lams, temps = (-1.2, -0.9, 0.5, 8.0), (0.0, 0.3, 2.0, math.inf)
+        rows = run_scan(thermal_spec(n, lams, temps))
+        assert [(r.lam, r.noise_value) for r in rows] == [
+            (lam, t) for lam in lams for t in temps
+        ]
+        for row in rows:
+            want = dense_thermal_report(n, row.lam, row.noise_value)
+            if want is None:
+                assert row.error == FLOOR_ERROR
+                continue
+            assert row.error == ""
+            assert row.rotated == want.rotated
+            for name in ("nu", "xi2", "a_param", "b_param", "theta0", "var_phi"):
+                assert getattr(row, name) == pytest.approx(
+                    getattr(want, name), rel=0, abs=1e-9
+                ), (row.lam, row.noise_value, name)
+
+    @pytest.mark.parametrize("n", [200, 1000, 4000])
+    def test_coherent_thermal_rows_report(self, n):
+        # lam = 0 is the coherent state, nu = 1 exactly; rounding put
+        # 2|<Jx>|/N a few ulp above 1 and these rows used to be errors
+        rows = run_scan(thermal_spec(n, (0.0,), (0.0, 0.01)))
+        assert [r.error for r in rows] == ["", ""]
+        assert rows[0].nu == 1.0
+
+    def test_thermal_scan_beyond_full_spectrum_cap(self):
+        rows = run_scan(thermal_spec(5000, (-0.9, 8.0), (0.0, 0.5, math.inf)))
+        assert [r.error for r in rows if math.isfinite(r.noise_value)] == [""] * 4
+        assert [r.error for r in rows if math.isinf(r.noise_value)] == [FLOOR_ERROR] * 2
+
+    def test_cache_serves_only_covering_windows(self, tmp_path):
+        cache = str(tmp_path)
+        run_scan(thermal_spec(40, (-0.5, 0.5), (0.0, 0.5)), cache_dir=cache)
+        hot = thermal_spec(40, (-0.5, 0.5), (0.0, 1.0, 3.0))
+        cold = run_scan(hot, cache_dir=cache)
+        assert cold == run_scan(hot)
+        files = sorted(tmp_path.glob("*.npz"))
+        assert len(files) == 2
+        stored = [f.read_bytes() for f in files]
+        assert run_scan(hot, cache_dir=cache) == cold
+        # a narrower window is served from the wider table, not recomputed
+        run_scan(thermal_spec(40, (-0.5, 0.5), (0.2,)), cache_dir=cache)
+        assert [f.read_bytes() for f in files] == stored
 
     def test_spectrum_cache(self, tmp_path):
         spec = ScanSpec(

@@ -12,6 +12,7 @@ from bellfringe import (
     ensemble_moments,
     ground_state,
     ladder_coefficient,
+    moment_table,
     rotate_pi2_about_x,
 )
 
@@ -128,6 +129,44 @@ class TestComputeMoments:
         basis = build_basis(9)
         m = compute_moments(SpinState(basis, random_real_state(9, rng)))
         assert m.jy == 0.0
+
+
+class TestMomentTable:
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_columns_match_dense_oracle(self, n):
+        rng = np.random.default_rng(200 + n)
+        block = np.column_stack([random_real_state(n, rng) for _ in range(6)])
+        table = moment_table(build_basis(n), block)
+        assert table.shape == (6, 6)
+        for row, psi in zip(table, block.T):
+            want = dense_moments(n, psi)
+            got = dict(zip(("jx", "jy", "jz", "jx2", "jy2", "jz2"), row))
+            for key in want:
+                assert got[key] == pytest.approx(want[key], abs=1e-10), key
+
+    def test_rejects_unnormalized_column(self):
+        basis = build_basis(4)
+        block = np.column_stack([coherent_x_state(4).coeffs, np.full(5, 1.0)])
+        with pytest.raises(ValueError, match="normalized"):
+            moment_table(basis, block)
+
+    def test_ensemble_matches_weighted_loop(self):
+        # reference: the weighted per-state sum ensemble_moments replaced
+        rng = np.random.default_rng(17)
+        basis = build_basis(30)
+        states = tuple(SpinState(basis, random_real_state(30, rng)) for _ in range(9))
+        weights = rng.random(9)
+        weights /= weights.sum()
+        want = np.zeros(6)
+        for w, st in zip(weights, states):
+            m = compute_moments(st)
+            want += w * np.array([m.jx, m.jy, m.jz, m.jx2, m.jy2, m.jz2])
+        got = ensemble_moments(StateEnsemble(states, weights))
+        scale = 30 * 31 / 4
+        assert np.allclose(
+            [got.jx, got.jy, got.jz, got.jx2, got.jy2, got.jz2],
+            want, rtol=0, atol=64 * np.finfo(float).eps * scale,
+        )
 
 
 class TestEnsembleMoments:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from bellfringe import (
     ModelParams,
+    Moments,
     VisibilityError,
     bell_theta,
     bell_witness,
@@ -17,11 +18,11 @@ from bellfringe import (
     optimal_theta,
     param_a,
     phase_squeezing,
-    relation_check,
     report_from_moments,
     sensitivity,
     visibility,
 )
+from bellfringe.witnesses import NU_ROUNDING_SLACK
 
 
 class TestFormulas:
@@ -130,7 +131,7 @@ class TestOptimalTheta:
 class TestWitnessReport:
     def test_build_report_consistency(self):
         rep = build_report(0.625, 0.8, 1000)
-        assert relation_check(rep)
+        assert abs(rep.b_param - rep.a_param - fringe_factor(rep.nu)) <= 1e-10
         assert rep.var_phi == pytest.approx((rep.a_param + 1) / 1000, abs=1e-15)
         assert rep.interior_minimum
 
@@ -172,3 +173,24 @@ class TestWitnessReport:
         assert rep.b_param < 0.0
         # near-unit visibility makes f(nu) ~ 1/2, so a sits below b here
         assert rep.a_param < rep.b_param
+
+
+class TestVisibilityRounding:
+    @staticmethod
+    def moments_with_nu(nu, n):
+        return Moments(jx=nu * n / 2, jy=0.0, jz=0.0, jx2=0.0, jy2=n / 4, jz2=n / 4)
+
+    def test_rounding_excess_reads_as_one(self):
+        n = 1000
+        nu = 2.0 * (n / 2 * (1.0 + NU_ROUNDING_SLACK)) / n
+        assert 1.0 < nu <= 1.0 + NU_ROUNDING_SLACK
+        assert visibility(self.moments_with_nu(1.0 + NU_ROUNDING_SLACK, n), n) == 1.0
+        assert visibility(self.moments_with_nu(-1.0 - NU_ROUNDING_SLACK, n), n) == 1.0
+
+    @pytest.mark.parametrize("excess", [1e-9, 64 * np.finfo(float).eps])
+    def test_larger_excess_still_raises(self, excess):
+        m = self.moments_with_nu(1.0 + excess, 400)
+        with pytest.raises(VisibilityError, match="outside"):
+            visibility(m, 400)
+        with pytest.raises(VisibilityError):
+            report_from_moments(m, 400)
