@@ -23,6 +23,7 @@ from .josephson import (  # noqa: F401
     build_hamiltonian,
     full_spectrum,
     ground_state,
+    ground_states,
     thermal_ensemble,
 )
 from .witnesses import (  # noqa: F401
@@ -45,10 +46,10 @@ from .noise import (  # noqa: F401
     QuadratureRule,
     blur_visibility,
     delta_mixture,
+    delta_mixture_moments,
     delta_thermal_mixture,
     gauss_hermite_rule,
     split_gaussian_rule,
-    witness_with_noise,
 )
 from .analytics import (  # noqa: F401
     SemiclassicalPrediction,

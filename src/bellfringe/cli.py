@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .analytics import bell_thresholds, semiclassical_ab
@@ -29,6 +30,9 @@ from .scan import (
 
 CONFIG_ERROR = 1
 COMPUTE_ERROR = 2
+# argparse's own test misses exponents and reads a value such as -5.4e-05 as
+# an option flag
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 def _load_spec(path: str, no_rotation: bool, seed) -> ScanSpec:
@@ -42,10 +46,7 @@ def _load_spec(path: str, no_rotation: bool, seed) -> ScanSpec:
 
 
 def _thread_count(args) -> int:
-    env = os.environ.get("BELLFRINGE_THREADS")
-    if env is not None:
-        return int(env)
-    return args.threads
+    return int(os.environ.get("BELLFRINGE_THREADS", args.threads))
 
 
 def _add_common(parser):
@@ -181,6 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", type=float, action="append", default=[])
     p.set_defaults(func=cmd_analytics)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "ConvergenceError",
     "build_hamiltonian",
     "ground_state",
+    "ground_states",
     "full_spectrum",
     "low_spectrum",
     "boltzmann_weights",
@@ -107,19 +108,31 @@ def build_hamiltonian(params: ModelParams) -> SymTridiag:
     return SymTridiag(diag, offdiag)
 
 
-def _check_eigenpairs(h: SymTridiag, energies: np.ndarray, vectors: np.ndarray):
-    """Residual and orthonormality guards, independent of the backend."""
-    norm_h = max(h.norm_estimate, 1e-300)
-    resid = h.matvec(vectors) - vectors * energies[None, :]
-    worst = np.sqrt((resid * resid).sum(axis=0)).max()
-    if worst > RESIDUAL_TOL * norm_h:
-        raise ConvergenceError(
-            f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} * |H|"
-        )
-    gram = vectors.T @ vectors
-    gram[np.diag_indices_from(gram)] -= 1.0
-    ortho = np.abs(gram).max()
-    if ortho > ORTHO_TOL:
+def _check_eigenpairs(diag, offdiag, energies, vectors, gram: bool = True):
+    """Residual and orthonormality guards, independent of the backend.
+
+    Column k is checked against H_k = tridiag(diag[:, k], offdiag) and its
+    own |H_k| bound (max row sum), or against the one H of a 1-D ``diag``.
+    Eigenvectors of one H must be orthonormal (``gram``); ground states of
+    different H need only unit norm.
+    """
+    d = diag.reshape(len(diag), -1)
+    e = offdiag[:, None]
+    resid = d * vectors - vectors * energies
+    resid[:-1] += e * vectors[1:]
+    resid[1:] += e * vectors[:-1]
+    # row i of |H| sums |d_i| and |e_{i-1}| + |e_i|
+    norm_h = (np.abs(d) + np.convolve(np.abs(offdiag), [1.0, 1.0])[:, None]).max(axis=0)
+    worst = (np.sqrt((resid * resid).sum(axis=0)) / np.maximum(norm_h, 1e-300)).max()
+    if not worst <= RESIDUAL_TOL:  # NaN fails too
+        raise ConvergenceError(f"eigenpair residual {worst:.3e} |H| > {RESIDUAL_TOL} |H|")
+    if gram:
+        defect = vectors.T @ vectors
+        defect[np.diag_indices_from(defect)] -= 1.0
+    else:
+        defect = (vectors * vectors).sum(axis=0) - 1.0
+    ortho = np.abs(defect).max()
+    if not ortho <= ORTHO_TOL:
         raise ConvergenceError(f"orthonormality defect {ortho:.3e}")
 
 
@@ -141,18 +154,47 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _solve(h: SymTridiag, **select) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(diag: np.ndarray, offdiag: np.ndarray, **select):
     try:
-        energies, vectors = eigh_tridiagonal(h.diag, h.offdiag, **select)
+        return eigh_tridiagonal(diag, offdiag, **select)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise ConvergenceError(str(exc)) from exc
-    _check_eigenpairs(h, energies, vectors)
-    vectors = _fix_signs(vectors)
-    return energies, vectors
+
+
+def _solve(h: SymTridiag, **select) -> tuple[np.ndarray, np.ndarray]:
+    energies, vectors = _eigh(h.diag, h.offdiag, **select)
+    _check_eigenpairs(h.diag, h.offdiag, energies, vectors)
+    return energies, _fix_signs(vectors)
+
+
+def ground_states(n_particles: int, lam: float, tilts) -> tuple[np.ndarray, np.ndarray]:
+    """Ground eigenpairs ``(energies, vectors)`` of H(lam, delta) for every
+    delta in ``tilts``, one column each.
+
+    H(lam, 0) is built once and each tilt adds delta * m to its diagonal
+    (LAPACK ``stebz``); the block then gets one residual check (each column
+    against its own |H|), one norm check and one ``_fix_signs`` call.
+    """
+    tilts = np.asarray(tilts, dtype=float)
+    h0 = build_hamiltonian(ModelParams(n_particles, lam, 0.0))
+    # row k is the diagonal of H(lam, tilts[k]), contiguous for LAPACK
+    diags = h0.diag + tilts[:, None] * build_basis(n_particles).m_values
+    if not np.isfinite(diags).all():  # checked once here, not per solve
+        raise ValueError("lam and every tilt must give a finite Hamiltonian")
+    energies = np.empty(len(tilts))
+    vectors = np.empty((n_particles + 1, len(tilts)), order="F")
+    for k, diag in enumerate(diags):
+        energies[k:k + 1], vectors[:, k:k + 1] = _eigh(
+            diag, h0.offdiag, select="i", select_range=(0, 0), lapack_driver="stebz",
+            check_finite=False,
+        )
+    _check_eigenpairs(diags.T, h0.offdiag, energies, vectors, gram=False)
+    return energies, _fix_signs(vectors)
 
 
 def ground_state(params: ModelParams) -> tuple[float, SpinState]:
-    """Lowest eigenpair of the junction Hamiltonian.
+    """Lowest eigenpair of the junction Hamiltonian (one-column
+    ``ground_states``).
 
     The vector follows the sign convention of ``_fix_signs`` (largest-|psi_m|
     component positive, lowest m on ties), so it equals column 0 of
@@ -161,10 +203,8 @@ def ground_state(params: ModelParams) -> tuple[float, SpinState]:
     vector is then an eigensolver-dependent mixture of the two parity states
     and only parity-even moments (<Jx>, <Jx^2>, <Jy^2>, <Jz^2>) are defined.
     """
-    h = build_hamiltonian(params)
-    energies, vectors = _solve(h, select="i", select_range=(0, 0), lapack_driver="stebz")
-    basis = build_basis(params.n_particles)
-    return float(energies[0]), SpinState(basis, vectors[:, 0])
+    energies, vectors = ground_states(params.n_particles, params.lam, [params.delta])
+    return float(energies[0]), SpinState(build_basis(params.n_particles), vectors[:, 0])
 
 
 def full_spectrum(params: ModelParams, cap: int = FULL_SPECTRUM_CAP) -> Spectrum:

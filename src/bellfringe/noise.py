@@ -7,7 +7,10 @@ the ground state crosses over abruptly between the two wells around zero
 tilt, so moments are effectively discontinuous there and a global rule
 (Gauss-Hermite) converges only at first order.  Gauss-Legendre panels on
 each half-axis with Gaussian weights restore spectral convergence; a
-node-doubling check guards every mixture.  Finite detector resolution acts
+node-doubling check guards every mixture.  Each level solves its
+positive-tilt ground states as one checked block and reduces it to a K x 6
+moment table; the mirrored half follows in closed form, since parity flips
+<Jz> and keeps the other moments.  Finite detector resolution acts
 on the fitted density only, multiplying the visibility by exp(-k^2 s^2 / 2)
 while leaving the squeezing of the source state untouched.
 """
@@ -15,13 +18,16 @@ while leaving the squeezing of the source state untouched.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .josephson import ConvergenceError, ModelParams, ground_state, thermal_ensemble
-from .spin_core import Moments, SpinState, StateEnsemble, ensemble_moments
-from .witnesses import bell_witness
+from .josephson import ConvergenceError, ModelParams, ground_state, ground_states
+from .josephson import thermal_ensemble
+from .spin_core import Moments, SpinState, StateEnsemble, build_basis, compute_moments
+from .spin_core import moment_table
 
 __all__ = [
     "NoiseConfig",
@@ -29,9 +35,9 @@ __all__ = [
     "gauss_hermite_rule",
     "split_gaussian_rule",
     "delta_mixture",
+    "delta_mixture_moments",
     "delta_thermal_mixture",
     "blur_visibility",
-    "witness_with_noise",
     "DEFAULT_QUAD_ORDER",
     "MAX_QUAD_ORDER",
 ]
@@ -73,12 +79,19 @@ def gauss_hermite_rule(order: int, sigma: float) -> QuadratureRule:
     return QuadratureRule(nodes=math.sqrt(2.0) * sigma * x, weights=w / w.sum())
 
 
+@lru_cache(maxsize=16)
+def _legendre(half_order: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(half_order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def split_gaussian_rule(half_order: int, sigma: float) -> QuadratureRule:
     """Quadrature for a centered Gaussian of standard deviation ``sigma``,
     split at zero: a Gauss-Legendre panel on each half-axis with the
     Gaussian folded into the weights (unit sum).  Nodes are strictly
     nonzero and symmetric about the origin."""
-    x, w = np.polynomial.legendre.leggauss(half_order)
+    x, w = _legendre(operator.index(half_order))
     d = 0.5 * GAUSSIAN_SPAN * sigma * (x + 1.0)
     gw = w * np.exp(-0.5 * (d / sigma) ** 2)
     nodes = np.concatenate([-d[::-1], d])
@@ -86,31 +99,53 @@ def split_gaussian_rule(half_order: int, sigma: float) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights / weights.sum())
 
 
-def _mirror(state: SpinState) -> SpinState:
-    # H(-delta) = P H(delta) P with P the m -> -m parity, so the ground
-    # state at -delta is the reversed coefficient vector
-    return SpinState(state.basis, np.asarray(state.coeffs)[::-1].copy())
+# a node and its parity mirror contribute these multiples of the node's row
+MIRROR_PAIR = np.array([2.0, 2.0, 0.0, 2.0, 2.0, 2.0])
 
 
-def _mixture_at_order(n_particles: int, lam: float, sigma_delta: float, order: int):
+def _level(basis, lam: float, sigma_delta: float, order: int):
+    """One quadrature level: its rule, the ground states at its positive
+    nodes (columns) and the six mixture moments."""
     half = (order + 1) // 2
     rule = split_gaussian_rule(half, sigma_delta)
-    positive = rule.nodes[half:]
-    pos_states = tuple(
-        ground_state(ModelParams(n_particles, lam, delta))[1] for delta in positive
-    )
-    neg_states = tuple(_mirror(st) for st in reversed(pos_states))
-    return StateEnsemble(neg_states + pos_states, rule.weights)
+    _, vectors = ground_states(basis.n_particles, lam, rule.nodes[half:])
+    table = moment_table(basis, vectors)
+    return rule, vectors, (rule.weights[half:] @ table) * MIRROR_PAIR
 
 
-def _moments_close(a: Moments, b: Moments) -> bool:
-    for va, vb in zip(
-        (a.jx, a.jy, a.jz, a.jx2, a.jy2, a.jz2),
-        (b.jx, b.jy, b.jz, b.jx2, b.jy2, b.jz2),
-    ):
-        if abs(va - vb) > CONVERGENCE_ATOL + CONVERGENCE_RTOL * abs(vb):
-            return False
-    return True
+def _converged_level(n_particles, lam, sigma_delta, order, check):
+    """The level node doubling settles on (see ``delta_mixture``), or None
+    for sigma_delta = 0, the pure ground state."""
+    if sigma_delta < 0:
+        raise ValueError("sigma_delta must be nonnegative")
+    if order < 1 or order % 2 == 0:
+        raise ValueError("quadrature order must be a positive odd integer")
+    if sigma_delta == 0:
+        return None
+    basis = build_basis(n_particles)
+    level = _level(basis, lam, sigma_delta, order)
+    while check:
+        doubled = 2 * order - 1
+        finer = _level(basis, lam, sigma_delta, doubled)
+        drift = np.abs(level[2] - finer[2])
+        if np.all(drift <= CONVERGENCE_ATOL + CONVERGENCE_RTOL * np.abs(finer[2])):
+            return finer
+        if doubled >= MAX_QUAD_ORDER:
+            raise ConvergenceError(
+                f"delta mixture not converged at quadrature order {doubled} "
+                f"(lam={lam}, sigma_delta={sigma_delta})"
+            )
+        order, level = doubled, finer
+    return level
+
+
+def delta_mixture_moments(n_particles: int, lam: float, sigma_delta: float) -> Moments:
+    """Moments of ``delta_mixture`` at its default order, with the node-doubling
+    check, reduced level by level without building the mixture's states."""
+    level = _converged_level(n_particles, lam, sigma_delta, DEFAULT_QUAD_ORDER, True)
+    if level is None:
+        return compute_moments(ground_state(ModelParams(n_particles, lam, 0.0))[1])
+    return Moments(*level[2])
 
 
 def delta_mixture(
@@ -129,28 +164,15 @@ def delta_mixture(
     stable to 1e-6 relative, and a mixture that is still drifting at the
     order cap raises ConvergenceError.
     """
-    if sigma_delta < 0:
-        raise ValueError("sigma_delta must be nonnegative")
-    if order < 1 or order % 2 == 0:
-        raise ValueError("quadrature order must be a positive odd integer")
-    if sigma_delta == 0:
+    level = _converged_level(n_particles, lam, sigma_delta, order, check)
+    if level is None:
         _, gs = ground_state(ModelParams(n_particles, lam, 0.0))
         return StateEnsemble((gs,), np.array([1.0]))
-
-    ens = _mixture_at_order(n_particles, lam, sigma_delta, order)
-    if not check:
-        return ens
-    while True:
-        doubled = 2 * order - 1
-        ens_hi = _mixture_at_order(n_particles, lam, sigma_delta, doubled)
-        if _moments_close(ensemble_moments(ens), ensemble_moments(ens_hi)):
-            return ens_hi
-        if doubled >= MAX_QUAD_ORDER:
-            raise ConvergenceError(
-                f"delta mixture not converged at quadrature order {doubled} "
-                f"(lam={lam}, sigma_delta={sigma_delta})"
-            )
-        order, ens = doubled, ens_hi
+    rule, vectors, _ = level
+    # rows: the mirrored states at the negative nodes, then the positive ones
+    rows = np.vstack([vectors.T[::-1, ::-1], vectors.T])
+    basis = build_basis(n_particles)
+    return StateEnsemble(tuple(SpinState(basis, row) for row in rows), rule.weights)
 
 
 def delta_thermal_mixture(
@@ -169,16 +191,14 @@ def delta_thermal_mixture(
         return delta_mixture(n_particles, lam, sigma_delta, order=order, check=False)
     half = (order + 1) // 2
     rule = split_gaussian_rule(half, sigma_delta)
-    states = []
-    weights = []
+    states, weights = [], []
     for delta, w in zip(rule.nodes[half:], rule.weights[half:]):
         ens = thermal_ensemble(ModelParams(n_particles, lam, delta), temperature)
-        # the spectrum at -delta is identical and its eigenstates are the
-        # parity mirrors, so both tilt signs come from one diagonalization
-        states.extend(ens.states)
-        weights.append(w * np.asarray(ens.weights))
-        states.extend(_mirror(st) for st in ens.states)
-        weights.append(w * np.asarray(ens.weights))
+        # H(-delta) = P H(delta) P with P the m -> -m parity: the spectrum at
+        # -delta is the same and its eigenstates are the reversed vectors
+        mirrored = (SpinState(st.basis, st.coeffs[::-1].copy()) for st in ens.states)
+        states += [*ens.states, *mirrored]
+        weights += [w * ens.weights] * 2
     return StateEnsemble(tuple(states), np.concatenate(weights))
 
 
@@ -187,9 +207,3 @@ def blur_visibility(nu: float, k_fringe: float, sigma_detector: float) -> float:
     if not 0.0 <= nu <= 1.0:
         raise ValueError("nu must lie in [0, 1]")
     return nu * math.exp(-0.5 * (k_fringe * sigma_detector) ** 2)
-
-
-def witness_with_noise(xi2_thermal: float, nu_blurred: float) -> float:
-    """Bell witness with thermal squeezing and blurred visibility; reduces
-    to the noiseless witness at T = 0, sigma = 0."""
-    return bell_witness(xi2_thermal, nu_blurred)

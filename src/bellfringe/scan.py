@@ -22,7 +22,7 @@ import numbers
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -34,14 +34,8 @@ from .josephson import (
     ground_state,
     low_spectrum,
 )
-from .noise import blur_visibility, delta_mixture
-from .spin_core import (
-    Moments,
-    build_basis,
-    compute_moments,
-    ensemble_moments,
-    moment_table,
-)
+from .noise import blur_visibility, delta_mixture_moments
+from .spin_core import Moments, build_basis, compute_moments, moment_table
 from .witnesses import VisibilityError, build_report, report_from_moments, visibility
 
 __all__ = [
@@ -146,18 +140,8 @@ class ScanSpec:
             raise ValueError("rotation must be 'auto' or 'off'")
 
     def to_dict(self) -> dict:
-        return {
-            "n_particles": self.n_particles,
-            "lambda_grid": list(self.lambda_grid),
-            "mode": self.mode,
-            "noise_axis": self.noise_axis,
-            "noise_grid": list(self.noise_grid),
-            "k_fringe": self.k_fringe,
-            "seed": self.seed,
-            "outputs": list(self.outputs),
-            "rotation": self.rotation,
-            "mc": self.mc,
-        }
+        data = asdict(self)
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in data.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScanSpec":
@@ -228,10 +212,6 @@ class SpectrumCache:
         return energies, table
 
 
-def _rotation_for(spec: ScanSpec, lam: float) -> bool:
-    return spec.rotation == "auto" and lam > 0
-
-
 def _row_from_report(lam: float, noise_value: float, report) -> ScanRow:
     return ScanRow(
         lam=lam,
@@ -260,7 +240,7 @@ def _row_from_moments(
 
 
 def _scan_one_lambda(spec: ScanSpec, lam: float, cache: SpectrumCache) -> list:
-    rotate = _rotation_for(spec, lam)
+    rotate = spec.rotation == "auto" and lam > 0
     rows = []
     if spec.mode == "ground_state":
         try:
@@ -295,10 +275,8 @@ def _scan_one_lambda(spec: ScanSpec, lam: float, cache: SpectrumCache) -> list:
     elif spec.mode == "delta_mixture":
         for sd in spec.noise_grid:
             try:
-                ens = delta_mixture(spec.n_particles, lam, sd)
-                rows.append(
-                    _row_from_moments(spec, lam, sd, ensemble_moments(ens), rotate)
-                )
+                moments = delta_mixture_moments(spec.n_particles, lam, sd)
+                rows.append(_row_from_moments(spec, lam, sd, moments, rotate))
             except Exception as exc:
                 rows.append(_error_row(lam, sd, rotate, exc))
     else:  # blurred
@@ -338,21 +316,10 @@ def run_scan(spec: ScanSpec, threads: int = 1, cache_dir: str = None) -> list:
 
 def make_evaluator(spec: ScanSpec, noise_value: float = 0.0, column: str = "b_param"):
     """Fresh-model evaluation of one scan column as a function of lambda."""
+    noise_grid = (noise_value,) if spec.mode != "ground_state" else (0.0,)
 
     def evaluate(lam: float) -> float:
-        one = ScanSpec(
-            n_particles=spec.n_particles,
-            lambda_grid=(lam,),
-            mode=spec.mode,
-            noise_axis=spec.noise_axis,
-            noise_grid=(noise_value,) if spec.mode != "ground_state" else (0.0,),
-            k_fringe=spec.k_fringe,
-            seed=spec.seed,
-            rotation=spec.rotation,
-        )
-        rows = run_scan(one)
-        target = [r for r in rows if r.noise_value == noise_value or spec.mode == "ground_state"]
-        row = target[0]
+        (row,) = run_scan(replace(spec, lambda_grid=(lam,), noise_grid=noise_grid))
         if row.error:
             raise VisibilityError(row.error)
         return getattr(row, column)
@@ -427,43 +394,15 @@ def _fmt(value) -> str:
 def rows_to_csv(rows) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.lam),
-                    _fmt(r.noise_value),
-                    _fmt(r.nu),
-                    _fmt(r.xi2),
-                    _fmt(r.a_param),
-                    _fmt(r.b_param),
-                    _fmt(r.theta0),
-                    _fmt(r.interior_minimum),
-                    _fmt(r.rotated),
-                    _fmt(r.var_phi),
-                    r.error.replace(",", ";"),
-                ]
-            )
-        )
+        # ScanRow fields are in CSV column order, the error message last
+        *values, error = vars(r).values()
+        lines.append(",".join([_fmt(v) for v in values] + [error.replace(",", ";")]))
     return "\n".join(lines) + "\n"
 
 
 def _row_dict(r: ScanRow) -> dict:
-    def num(x):
-        return None if x != x else x
-
-    return {
-        "lambda": r.lam,
-        "noise_value": r.noise_value,
-        "nu": num(r.nu),
-        "xi2": num(r.xi2),
-        "a_param": num(r.a_param),
-        "b_param": num(r.b_param),
-        "theta0": num(r.theta0),
-        "interior_minimum": r.interior_minimum,
-        "rotated": r.rotated,
-        "var_phi": num(r.var_phi),
-        "error": r.error,
-    }
+    row = {"lambda" if k == "lam" else k: v for k, v in vars(r).items()}
+    return {k: None if v != v else v for k, v in row.items()}  # NaN -> null
 
 
 def emit_outputs(rows, spec: ScanSpec, out_dir: str, basename: str = "scan") -> list:

@@ -6,20 +6,27 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from bellfringe import (
+    ConvergenceError,
     ModelParams,
+    SpinState,
+    build_basis,
     build_hamiltonian,
     compute_moments,
+    delta_mixture,
+    delta_mixture_moments,
     ensemble_moments,
     full_spectrum,
     ground_state,
+    ground_states,
     phase_squeezing,
     thermal_ensemble,
     thermal_xi2,
     visibility,
 )
-from bellfringe.josephson import SIGN_TIE_RTOL, _fix_signs
+from bellfringe import josephson
+from bellfringe.josephson import RESIDUAL_TOL, SIGN_TIE_RTOL, _fix_signs
 
-from oracles import dense_hamiltonian
+from oracles import dense_hamiltonian, dense_moments
 
 
 def analytic_ground_energy_n2(lam):
@@ -136,6 +143,91 @@ class TestSignConvention:
         for driver in DRIVERS:
             _, _, vectors = eigenvectors(params, driver)
             assert np.allclose(_fix_signs(vectors)[:, resolved], ref, atol=1e-9)
+
+
+TILTS = np.geomspace(1e-6, 0.8, 9)
+
+
+class TestGroundStates:
+    @pytest.mark.parametrize("n", [12, 40])
+    @pytest.mark.parametrize("lam", [-1.2, -0.5, 3.0])
+    def test_columns_match_dense_ground_states(self, n, lam):
+        energies, vectors = ground_states(n, lam, TILTS)
+        basis = build_basis(n)
+        for k, delta in enumerate(TILTS):
+            dense_e, dense_v = np.linalg.eigh(dense_hamiltonian(n, lam, delta))
+            assert energies[k] == pytest.approx(dense_e[0], abs=1e-10)
+            got = compute_moments(SpinState(basis, vectors[:, k]))
+            want = dense_moments(n, dense_v[:, 0])
+            for name, value in want.items():
+                assert getattr(got, name) == pytest.approx(value, rel=1e-10, abs=1e-10)
+
+    def test_one_column_is_ground_state(self):
+        # ground_state is the one-column block: every column, bit for bit
+        _, vectors = ground_states(80, -0.7, TILTS)
+        for k, delta in enumerate(TILTS):
+            _, state = ground_state(ModelParams(80, -0.7, delta))
+            assert np.array_equal(vectors[:, k], state.coeffs)
+
+    @pytest.mark.parametrize("corrupt", [1, 3, 5])
+    def test_residual_checked_against_own_hamiltonian(self, monkeypatch, corrupt):
+        # shift one column's energy by twice the residual bound of its own H;
+        # the largest |H| of the block is over twice as big, and against it
+        # the same error would pass, so a shared bound would mask it
+        n, lam = 40, 3.0
+        tilts = np.array([5.0, 0.0, 4.0, 0.6, 3.0, 1.2])
+        norms = [build_hamiltonian(ModelParams(n, lam, t)).norm_estimate for t in tilts]
+        shift = 2 * RESIDUAL_TOL * norms[corrupt]
+        assert shift < RESIDUAL_TOL * max(norms)
+        calls = []
+
+        def perturbed(*args, **kwargs):
+            w, v = eigh_tridiagonal(*args, **kwargs)
+            calls.append(None)
+            return (w + shift, v) if len(calls) == corrupt + 1 else (w, v)
+
+        monkeypatch.setattr(josephson, "eigh_tridiagonal", perturbed)
+        with pytest.raises(ConvergenceError, match="residual"):
+            ground_states(n, lam, tilts)
+
+    def test_unnormalized_column_raises(self, monkeypatch):
+        calls = []
+
+        def stretched(*args, **kwargs):
+            w, v = eigh_tridiagonal(*args, **kwargs)
+            calls.append(None)
+            return (w, v * (1 + 1e-6)) if len(calls) == 3 else (w, v)
+
+        monkeypatch.setattr(josephson, "eigh_tridiagonal", stretched)
+        with pytest.raises(ConvergenceError, match="orthonormality"):
+            ground_states(40, -0.5, TILTS)
+
+    def test_corrupted_node_fails_the_mixture(self, monkeypatch):
+        calls = []
+
+        def perturbed(*args, **kwargs):
+            w, v = eigh_tridiagonal(*args, **kwargs)
+            calls.append(None)
+            return (w + 1e-3, v) if len(calls) == 30 else (w, v)
+
+        monkeypatch.setattr(josephson, "eigh_tridiagonal", perturbed)
+        with pytest.raises(ConvergenceError):
+            delta_mixture_moments(40, -0.5, 0.05)
+
+    @pytest.mark.parametrize("mixture", [delta_mixture, delta_mixture_moments])
+    def test_first_doubling_solves_62_nodes(self, monkeypatch, mixture):
+        # orders 41 and 81 have 21 and 41 positive nodes, one solve each
+        n, lam, sigma = 40, 3.0, 0.05
+        assert len(delta_mixture(n, lam, sigma).states) == 82
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(josephson, "eigh_tridiagonal", counting)
+        mixture(n, lam, sigma)
+        assert len(calls) == 21 + 41
 
 
 class TestFullSpectrum:

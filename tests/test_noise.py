@@ -10,6 +10,7 @@ from bellfringe import (
     blur_visibility,
     compute_moments,
     delta_mixture,
+    delta_mixture_moments,
     delta_thermal_mixture,
     ensemble_moments,
     gauss_hermite_rule,
@@ -18,8 +19,8 @@ from bellfringe import (
     split_gaussian_rule,
     thermal_ensemble,
     visibility,
-    witness_with_noise,
 )
+from bellfringe.noise import _legendre
 
 
 class TestNoiseConfig:
@@ -83,6 +84,19 @@ class TestSplitGaussianRule:
             want, rel=1e-10
         )
 
+    def test_cached_panel_stays_intact(self):
+        # the Legendre panel is cached per half order and read-only, so a
+        # caller that edits a returned rule cannot change the next one
+        first = split_gaussian_rule(21, 0.3)
+        nodes, weights = first.nodes.copy(), first.weights.copy()
+        first.nodes[:] = 0.0
+        first.weights[:] = 0.0
+        again = split_gaussian_rule(21, 0.3)
+        assert np.array_equal(again.nodes, nodes)
+        assert np.array_equal(again.weights, weights)
+        x, w = _legendre(21)
+        assert not x.flags.writeable and not w.flags.writeable
+
     def test_nodes_symmetric_and_nonzero(self):
         rule = split_gaussian_rule(15, 1.0)
         assert np.allclose(rule.nodes, -rule.nodes[::-1])
@@ -109,6 +123,16 @@ class TestDeltaMixture:
         b_clean = bell_witness(phase_squeezing(clean, n), visibility(clean, n))
         b_noisy = bell_witness(phase_squeezing(noisy, n), visibility(noisy, n))
         assert b_noisy > b_clean
+
+    @pytest.mark.parametrize("lam, sigma", [(-1.2, 0.03), (-0.7, 0.05), (3.0, 0.1)])
+    def test_moments_match_the_mixture(self, lam, sigma):
+        # the closed-form mirror half against the states delta_mixture builds
+        n = 50
+        got = delta_mixture_moments(n, lam, sigma)
+        want = ensemble_moments(delta_mixture(n, lam, sigma))
+        for name in ("jx", "jy", "jx2", "jy2", "jz2"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+        assert got.jz == 0.0 and abs(want.jz) < 1e-10
 
     def test_converged_against_high_order(self):
         n = 80
@@ -178,9 +202,3 @@ class TestBlur:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             blur_visibility(1.2, 1.0, 0.1)
-
-    def test_witness_with_noise_reduces(self):
-        assert witness_with_noise(0.4, 1.0) == bell_witness(0.4, 1.0)
-        # blur can close the witness region
-        nu = blur_visibility(1.0, 2.0, 0.6)
-        assert witness_with_noise(0.4, nu) > witness_with_noise(0.4, 1.0)

@@ -7,11 +7,13 @@ import pytest
 
 from bellfringe import (
     ModelParams,
+    QuadratureRule,
     ScanRow,
     ScanSpec,
     bell_witness,
     build_report,
     compute_moments,
+    delta_mixture,
     emit_outputs,
     extract_region_boundary,
     find_zero_crossings,
@@ -19,8 +21,10 @@ from bellfringe import (
     phase_squeezing,
     rotate_pi2_about_x,
     run_scan,
+    split_gaussian_rule,
     visibility,
 )
+from bellfringe import cli
 from bellfringe.cli import main as cli_main
 from bellfringe.scan import (
     CSV_HEADER,
@@ -47,6 +51,20 @@ def thermal_spec(n, lams, temperatures):
     )
 
 
+def dense_report(n, lam, rho):
+    """Witness report of the density matrix ``rho`` by dense traces, with
+    the scan's automatic rotation for lam > 0."""
+    jx, jy, jz = dense_spin_matrices(n)
+
+    def ev(op):
+        return float(np.trace(rho @ op).real)
+
+    # the auto rotation for lam > 0 turns <Jz^2> into <Jy^2>
+    jy2 = ev(jz @ jz) if lam > 0 else ev(jy @ jy)
+    mean_jx = ev(jx)
+    return build_report(n * jy2 / mean_jx**2, 2 * abs(mean_jx) / n, n, rotated=lam > 0)
+
+
 def dense_thermal_report(n, lam, temperature):
     """Witness report of the Boltzmann state over all N+1 levels, by dense
     diagonalization and traces; None where the state shows no fringes."""
@@ -59,16 +77,22 @@ def dense_thermal_report(n, lam, temperature):
     else:
         weights = np.exp(-(energies - energies[0]) / temperature)
         weights /= weights.sum()
-    rho = (vectors * weights) @ vectors.T
-    jx, jy, jz = dense_spin_matrices(n)
+    return dense_report(n, lam, (vectors * weights) @ vectors.T)
 
-    def ev(op):
-        return float(np.trace(rho @ op).real)
 
-    # the auto rotation for lam > 0 turns <Jz^2> into <Jy^2>
-    jy2 = ev(jz @ jz) if lam > 0 else ev(jy @ jy)
-    mean_jx = ev(jx)
-    return build_report(n * jy2 / mean_jx**2, 2 * abs(mean_jx) / n, n, rotated=lam > 0)
+def dense_delta_report(n, lam, sigma_delta, half_order):
+    """Witness report of the tilt mixture on the split rule with
+    ``half_order`` nodes per half-axis; the ground state at every node, of
+    either sign, comes from a dense eigensolve."""
+    if sigma_delta == 0:
+        rule = QuadratureRule(np.array([0.0]), np.array([1.0]))
+    else:
+        rule = split_gaussian_rule(half_order, sigma_delta)
+    rho = np.zeros((n + 1, n + 1))
+    for delta, weight in zip(rule.nodes, rule.weights):
+        psi = np.linalg.eigh(dense_hamiltonian(n, lam, delta))[1][:, 0]
+        rho += weight * np.outer(psi, psi)
+    return dense_report(n, lam, rho)
 
 
 class TestScanSpec:
@@ -210,6 +234,31 @@ class TestRunScan:
             for name in ("nu", "xi2", "a_param", "b_param", "theta0", "var_phi"):
                 assert getattr(row, name) == pytest.approx(
                     getattr(want, name), rel=0, abs=1e-9
+                ), (row.lam, row.noise_value, name)
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_delta_rows_match_dense_mixture(self, n):
+        lams, sigmas = (-1.2, -0.9, 0.5, 8.0), (0.0, 0.02, 0.08)
+        spec = ScanSpec(
+            n_particles=n,
+            lambda_grid=lams,
+            mode="delta_mixture",
+            noise_axis="sigma_delta",
+            noise_grid=sigmas,
+        )
+        rows = run_scan(spec)
+        assert [(r.lam, r.noise_value) for r in rows] == [
+            (lam, sd) for lam in lams for sd in sigmas
+        ]
+        for row in rows:
+            # the dense mixture uses the order node doubling settled on
+            ens = delta_mixture(n, row.lam, row.noise_value)
+            want = dense_delta_report(n, row.lam, row.noise_value, len(ens.states) // 2)
+            assert row.error == ""
+            assert row.rotated == want.rotated
+            for name in ("nu", "xi2", "a_param", "b_param", "theta0", "var_phi"):
+                assert getattr(row, name) == pytest.approx(
+                    getattr(want, name), rel=1e-10, abs=1e-10
                 ), (row.lam, row.noise_value, name)
 
     @pytest.mark.parametrize("n", [200, 1000, 4000])
@@ -411,6 +460,23 @@ class TestCli:
             "least-squares ref",
             "cramer-rao bound",
         ]
+
+    @pytest.mark.parametrize(
+        "phi_args",
+        [["--phi", "-5.398460529870697e-05"], ["--phi=-5.398460529870697e-05"]],
+    )
+    def test_mc_verify_negative_exponent_phi(self, monkeypatch, phi_args):
+        # argparse alone reads "-5.398460529870697e-05" as an option flag
+        seen, original = [], cli.verify_sensitivity
+
+        def spy(params, *args):
+            seen.append(params.phi)
+            return original(params, *args)
+
+        monkeypatch.setattr(cli, "verify_sensitivity", spy)
+        argv = ["mc-verify", *phi_args, "--n-atoms", "200", "--n-shots", "1000"]
+        assert cli_main(argv) == 0
+        assert seen == [-5.398460529870697e-05]
 
     def test_analytics_command(self, capsys):
         rc = cli_main(["analytics", "--lam", "8.0", "--lam", "-0.5"])
