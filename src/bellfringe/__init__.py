@@ -11,7 +11,6 @@ from .spin_core import (  # noqa: F401
     build_basis,
     compute_moments,
     ensemble_moments,
-    ladder_coefficient,
     moment_table,
     rotate_pi2_about_x,
 )
@@ -42,13 +41,11 @@ from .witnesses import (  # noqa: F401
     visibility,
 )
 from .noise import (  # noqa: F401
-    NoiseConfig,
     QuadratureRule,
     blur_visibility,
     delta_mixture,
     delta_mixture_moments,
     delta_thermal_mixture,
-    gauss_hermite_rule,
     split_gaussian_rule,
 )
 from .analytics import (  # noqa: F401

@@ -141,10 +141,9 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     largest-|psi_m| component is positive, ties going to the lowest index m.
 
     Components within a relative ``SIGN_TIE_RTOL`` of the column maximum count
-    as tied, so the psi_m = -psi_{-m} pairs of odd-parity states at zero tilt
-    resolve the same way whatever rounding the eigensolver left behind.  The
-    rule fixes a vector only up to its sign; a degenerate subspace (e.g. the
-    ferromagnetic doublet for lam < -1, delta = 0) has no unique basis to fix.
+    as tied, so rounding alone cannot move the lead.  At zero tilt every
+    vector has definite parity (see ``_fold``), and the lead of an odd one,
+    psi_m = -psi_{-m}, is always its m < 0 member.
     """
     peak = np.maximum(vectors.max(axis=0), -vectors.min(axis=0))
     cutoff = (1.0 - SIGN_TIE_RTOL) * peak
@@ -154,6 +153,45 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def _fold(h: SymTridiag):
+    """Even and odd blocks ``(diag, offdiag)`` of a zero-tilt H in the basis
+    (|m> + |-m>)/sqrt(2) and (|m> - |-m>)/sqrt(2), m >= 0 ascending.
+
+    H commutes with the parity m -> -m there, so the two blocks hold its
+    whole spectrum.  Integer j: |0> is its own mirror and joins the even
+    block alone, coupled to the first pair by sqrt(2) e; the odd block
+    starts at m = 1.  Half-integer j: the -1/2 <-> 1/2 element e is added
+    to (subtracted from) the first diagonal entry of the even (odd) block.
+    """
+    n = len(h.diag) - 1
+    c = n - n // 2  # index of the smallest m >= 0
+    diag, offdiag = h.diag[c:].copy(), h.offdiag[c:].copy()
+    if n % 2 == 0:
+        offdiag[:1] *= math.sqrt(2.0)
+        return (diag, offdiag), (h.diag[c + 1:], h.offdiag[c + 1:])
+    odd = diag.copy()
+    diag[0] += h.offdiag[c - 1]
+    odd[0] -= h.offdiag[c - 1]
+    return (diag, offdiag), (odd, h.offdiag[c:])
+
+
+def _unfold(vectors: np.ndarray, parity: float, n_particles: int) -> np.ndarray:
+    """m-basis columns of block vectors from ``_fold``, even for ``parity``
+    +1 and odd for -1; every column is exactly (anti)symmetric in m."""
+    half = (n_particles + 1) // 2  # rows with m < 0
+    out = np.zeros((n_particles + 1, vectors.shape[1]))
+    out[n_particles + 1 - len(vectors):] = vectors * math.sqrt(0.5)
+    if parity > 0 and n_particles % 2 == 0:
+        out[half] = vectors[0]  # m = 0
+    out[:half] = parity * out[-half:][::-1]
+    return out
+
+
+def _normalize(vectors: np.ndarray) -> np.ndarray:
+    # the 1/sqrt(2) of _unfold leaves the norm a few ulp off 1
+    return vectors / np.sqrt((vectors * vectors).sum(axis=0))
+
+
 def _eigh(diag: np.ndarray, offdiag: np.ndarray, **select):
     try:
         return eigh_tridiagonal(diag, offdiag, **select)
@@ -161,10 +199,25 @@ def _eigh(diag: np.ndarray, offdiag: np.ndarray, **select):
         raise ConvergenceError(str(exc)) from exc
 
 
-def _solve(h: SymTridiag, **select) -> tuple[np.ndarray, np.ndarray]:
-    energies, vectors = _eigh(h.diag, h.offdiag, **select)
+def _solve(h: SymTridiag, zero_tilt: bool, **select) -> tuple[np.ndarray, np.ndarray]:
+    """Checked, sign-fixed eigenpairs of ``h`` in the ``select`` range.
+
+    At ``zero_tilt`` the two ``_fold`` blocks are solved alone and merged in
+    ascending energy (even first on ties); the unfolded vectors are checked
+    against the full H before they are renormalized.
+    """
+    if not zero_tilt:
+        energies, vectors = _eigh(h.diag, h.offdiag, **select)
+        _check_eigenpairs(h.diag, h.offdiag, energies, vectors)
+        return energies, _fix_signs(vectors)
+    n = len(h.diag) - 1
+    pairs = [_eigh(diag, offdiag, **select) for diag, offdiag in _fold(h)]
+    energies = np.concatenate([w for w, _ in pairs])
+    vectors = np.hstack([_unfold(v, p, n) for (_, v), p in zip(pairs, (1.0, -1.0))])
+    order = np.argsort(energies, kind="stable")
+    energies, vectors = energies[order], vectors[:, order]
     _check_eigenpairs(h.diag, h.offdiag, energies, vectors)
-    return energies, _fix_signs(vectors)
+    return energies, _fix_signs(_normalize(vectors))
 
 
 def ground_states(n_particles: int, lam: float, tilts) -> tuple[np.ndarray, np.ndarray]:
@@ -172,8 +225,10 @@ def ground_states(n_particles: int, lam: float, tilts) -> tuple[np.ndarray, np.n
     delta in ``tilts``, one column each.
 
     H(lam, 0) is built once and each tilt adds delta * m to its diagonal
-    (LAPACK ``stebz``); the block then gets one residual check (each column
-    against its own |H|), one norm check and one ``_fix_signs`` call.
+    (LAPACK ``stebz``); a zero tilt solves only the even ``_fold`` block,
+    since the Perron-Frobenius ground state is even.  The block then gets
+    one residual check (each column against its own full |H|), one norm
+    check and one ``_fix_signs`` call.
     """
     tilts = np.asarray(tilts, dtype=float)
     h0 = build_hamiltonian(ModelParams(n_particles, lam, 0.0))
@@ -181,14 +236,21 @@ def ground_states(n_particles: int, lam: float, tilts) -> tuple[np.ndarray, np.n
     diags = h0.diag + tilts[:, None] * build_basis(n_particles).m_values
     if not np.isfinite(diags).all():  # checked once here, not per solve
         raise ValueError("lam and every tilt must give a finite Hamiltonian")
+    zero = tilts == 0
+    even = _fold(h0)[0]
+    lowest = dict(
+        select="i", select_range=(0, 0), lapack_driver="stebz", check_finite=False
+    )
     energies = np.empty(len(tilts))
     vectors = np.empty((n_particles + 1, len(tilts)), order="F")
     for k, diag in enumerate(diags):
-        energies[k:k + 1], vectors[:, k:k + 1] = _eigh(
-            diag, h0.offdiag, select="i", select_range=(0, 0), lapack_driver="stebz",
-            check_finite=False,
-        )
+        if zero[k]:
+            energies[k:k + 1], block = _eigh(*even, **lowest)
+            vectors[:, k:k + 1] = _unfold(block, 1.0, n_particles)
+        else:
+            energies[k:k + 1], vectors[:, k:k + 1] = _eigh(diag, h0.offdiag, **lowest)
     _check_eigenpairs(diags.T, h0.offdiag, energies, vectors, gram=False)
+    vectors[:, zero] = _normalize(vectors[:, zero])
     return energies, _fix_signs(vectors)
 
 
@@ -198,10 +260,10 @@ def ground_state(params: ModelParams) -> tuple[float, SpinState]:
 
     The vector follows the sign convention of ``_fix_signs`` (largest-|psi_m|
     component positive, lowest m on ties), so it equals column 0 of
-    ``full_spectrum`` whenever the ground level is nondegenerate.  For lam < -1
-    at zero tilt the ground doublet is degenerate to rounding at large N: the
-    vector is then an eigensolver-dependent mixture of the two parity states
-    and only parity-even moments (<Jx>, <Jx^2>, <Jy^2>, <Jz^2>) are defined.
+    ``full_spectrum`` whenever the ground level is nondegenerate.  At zero
+    tilt it is the even-parity ground state, psi_m = psi_{-m} exactly, also
+    for lam < -1 where the odd partner of the ferromagnetic doublet lies
+    within rounding of it.
     """
     energies, vectors = ground_states(params.n_particles, params.lam, [params.delta])
     return float(energies[0]), SpinState(build_basis(params.n_particles), vectors[:, 0])
@@ -212,15 +274,16 @@ def full_spectrum(params: ModelParams, cap: int = FULL_SPECTRUM_CAP) -> Spectrum
 
     Every vector follows the sign convention of ``_fix_signs`` (largest-|psi_m|
     component positive, lowest m on ties), so nondegenerate states do not
-    depend on the LAPACK driver.  Levels degenerate to rounding, such as the
-    ferromagnetic doublets for lam < -1 at zero tilt, are returned as an
-    eigensolver-dependent orthonormal basis of their subspace.
+    depend on the LAPACK driver.  At zero tilt the even and odd ``_fold``
+    blocks are solved apart: every vector has definite parity, and the
+    ferromagnetic doublets for lam < -1 come out as their even and odd
+    members, even first, however close their energies.
     """
     if params.n_particles > cap:
         raise ValueError(
             f"n_particles={params.n_particles} exceeds full-spectrum cap {cap}"
         )
-    energies, vectors = _solve(build_hamiltonian(params))
+    energies, vectors = _solve(build_hamiltonian(params), params.delta == 0)
     basis = build_basis(params.n_particles)
     states = tuple(SpinState(basis, vectors[:, k]) for k in range(vectors.shape[1]))
     return Spectrum(params, energies, states)
@@ -232,18 +295,22 @@ def low_spectrum(params: ModelParams, energy_window: float):
     Only the window is diagonalized (MRRR, LAPACK ``stemr``), so the residual
     and orthonormality checks cost O(N K^2) for K kept states instead of
     O(N^3); every kept vector follows the sign convention of ``_fix_signs``.
-    Returns ``(energies, vectors)`` with the states as columns.
+    At zero tilt E0 comes from the even ``_fold`` block and the window is
+    solved on each parity block.  Returns ``(energies, vectors)`` with the
+    states as columns.
     """
     h = build_hamiltonian(params)
+    zero_tilt = params.delta == 0
+    lowest = _fold(h)[0] if zero_tilt else (h.diag, h.offdiag)
     e0 = eigh_tridiagonal(
-        h.diag, h.offdiag, eigvals_only=True, select="i", select_range=(0, 0),
+        *lowest, eigvals_only=True, select="i", select_range=(0, 0),
         lapack_driver="stebz",
     )[0]
     # drivers round E0 apart by far less than the residual tolerance; the
     # margin keeps the ground state inside even a zero-width window
     margin = RESIDUAL_TOL * h.norm_estimate
     return _solve(
-        h, select="v", select_range=(e0 - margin, e0 + energy_window + margin),
+        h, zero_tilt, select="v", select_range=(e0 - margin, e0 + energy_window + margin),
         lapack_driver="stemr",
     )
 

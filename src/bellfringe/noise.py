@@ -30,9 +30,7 @@ from .spin_core import Moments, SpinState, StateEnsemble, build_basis, compute_m
 from .spin_core import moment_table
 
 __all__ = [
-    "NoiseConfig",
     "QuadratureRule",
-    "gauss_hermite_rule",
     "split_gaussian_rule",
     "delta_mixture",
     "delta_mixture_moments",
@@ -52,31 +50,9 @@ GAUSSIAN_SPAN = 8.0
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
-    sigma_delta: float = 0.0
-    temperature: float = 0.0
-    sigma_detector: float = 0.0
-    k_fringe: float = 1.0
-
-    def __post_init__(self):
-        for name in ("sigma_delta", "temperature", "sigma_detector", "k_fringe"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.sigma_detector > 0 and self.k_fringe <= 0:
-            raise ValueError("k_fringe must be positive when blur is used")
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
-
-
-def gauss_hermite_rule(order: int, sigma: float) -> QuadratureRule:
-    """Nodes and unit-sum weights discretizing a centered Gaussian of
-    standard deviation ``sigma``."""
-    x, w = np.polynomial.hermite.hermgauss(order)
-    return QuadratureRule(nodes=math.sqrt(2.0) * sigma * x, weights=w / w.sum())
 
 
 @lru_cache(maxsize=16)
@@ -120,6 +96,8 @@ def _converged_level(n_particles, lam, sigma_delta, order, check):
         raise ValueError("sigma_delta must be nonnegative")
     if order < 1 or order % 2 == 0:
         raise ValueError("quadrature order must be a positive odd integer")
+    if check and order < 3:  # doubling order 1 gives order 1 again
+        raise ValueError("the node-doubling check needs quadrature order >= 3")
     if sigma_delta == 0:
         return None
     basis = build_basis(n_particles)

@@ -18,7 +18,6 @@ __all__ = [
     "StateEnsemble",
     "Moments",
     "build_basis",
-    "ladder_coefficient",
     "moment_table",
     "compute_moments",
     "ensemble_moments",
@@ -97,17 +96,6 @@ def build_basis(n_particles: int) -> DickeBasis:
     return DickeBasis(int(n_particles), j, m_values)
 
 
-def ladder_coefficient(basis: DickeBasis, m: float) -> float:
-    """Off-diagonal Jx matrix element c_m = sqrt(j(j+1) - m(m+1)) / 2.
-
-    Couples |j, m> and |j, m+1>; both must lie inside the ladder.
-    """
-    j = basis.j
-    if m < -j - 1e-12 or m + 1 > j + 1e-12:
-        raise ValueError(f"m={m} out of range for j={j}")
-    return 0.5 * np.sqrt(j * (j + 1) - m * (m + 1))
-
-
 def _ladder_array(basis: DickeBasis) -> np.ndarray:
     # c_m for m = -j ... j-1, vector of length N
     m = basis.m_values[:-1]
@@ -138,7 +126,9 @@ def moment_table(basis: DickeBasis, vectors: np.ndarray) -> np.ndarray:
 
     table = np.zeros((6, psi.shape[1]))  # one row per Moments field; <Jy> = 0
     table[0] = 2.0 * (c @ (psi[:-1] * psi[1:]))
-    table[2] = m @ weight
+    # <Jz> summed over +-m pairs, so a state of definite parity gives 0 exactly
+    half = len(m) // 2
+    table[2] = m[-half:] @ (weight[-half:] - weight[:half][::-1])
     jz2 = (m * m) @ weight
     # <J+^2> = <J-^2> = 4 sum_m c_m c_{m+1} psi_m psi_{m+2}
     two_step = (c[:-1] * c[1:]) @ (psi[:-2] * psi[2:])

@@ -118,9 +118,13 @@ def minimize_bell_direct(
     """Numerical minimum of bell_theta over theta in [0, pi].
 
     Coarse grid scan followed by golden-section refinement of the bracketing
-    interval.  Returns (theta_star, b_min).
+    interval.  Returns (theta_star, b_min).  |<Jx>| is read as at most N/2
+    by the rule of ``visibility``, so rounding cannot push b_min below zero
+    for a coherent state.
     """
-    jx, jy2 = moments.jx, moments.jy2
+    visibility(moments, n_particles)  # raises beyond the rounding slack
+    jx = math.copysign(min(abs(moments.jx), 0.5 * n_particles), moments.jx)
+    jy2 = moments.jy2
     thetas = np.linspace(0.0, math.pi, grid_points)
     values = bell_theta(n_particles, jx, jy2, thetas)
     i = int(np.argmin(values))

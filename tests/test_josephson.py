@@ -295,6 +295,84 @@ class TestFullSpectrum:
             full_spectrum(ModelParams(10, 0.0, 0.0), cap=5)
 
 
+class TestParityBlocks:
+    """Zero tilt: the even and odd blocks are solved apart and unfolded."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_full_spectrum_matches_dense(self, n):
+        # both parities of j, and the one-row blocks at N = 1 and 2
+        for lam in (-1.4, -0.9, 0.0, 3.0):
+            spec = full_spectrum(ModelParams(n, lam, 0.0))
+            dense = np.linalg.eigvalsh(dense_hamiltonian(n, lam, 0.0))
+            assert np.allclose(spec.energies, dense, rtol=0.0, atol=1e-10)
+            for state in spec.states:
+                v = np.asarray(state.coeffs)
+                assert np.array_equal(v, v[::-1]) or np.array_equal(v, -v[::-1])
+
+    @pytest.mark.parametrize("n", [200, 201])
+    @pytest.mark.parametrize("lam", [-1.4, -0.9, 4.0])
+    def test_low_spectrum_keeps_the_full_window(self, n, lam):
+        params = ModelParams(n, lam, 0.0)
+        window = -math.log(josephson.THERMAL_WEIGHT_CUTOFF) * 1.5
+        energies, vectors = josephson.low_spectrum(params, window)
+        # the same window solved on the full H
+        h = build_hamiltonian(params)
+        e0 = eigh_tridiagonal(
+            h.diag, h.offdiag, eigvals_only=True, select="i", select_range=(0, 0),
+            lapack_driver="stebz",
+        )[0]
+        margin = RESIDUAL_TOL * h.norm_estimate
+        want_e, want_v = eigh_tridiagonal(
+            h.diag, h.offdiag, select="v", lapack_driver="stemr",
+            select_range=(e0 - margin, e0 + window + margin),
+        )
+        assert len(energies) == len(want_e) > 1
+        assert np.abs(energies - want_e).max() <= 1e-12 * h.norm_estimate
+        # same states: the projectors on the kept subspaces agree
+        assert np.abs(vectors @ vectors.T - want_v @ want_v.T).max() <= 1e-8
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_ferromagnetic_ground_state_is_even(self, n):
+        # lam < -1: the odd partner lies within rounding of the ground level
+        _, state = ground_state(ModelParams(n, -1.4, 0.0))
+        v = np.asarray(state.coeffs)
+        assert np.array_equal(v, v[::-1])
+        assert compute_moments(state).jz == 0.0
+
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_ground_state_solves_the_even_block_once(self, monkeypatch, n):
+        sizes = []
+
+        def recording(diag, *args, **kwargs):
+            sizes.append(len(diag))
+            return eigh_tridiagonal(diag, *args, **kwargs)
+
+        monkeypatch.setattr(josephson, "eigh_tridiagonal", recording)
+        ground_state(ModelParams(n, -0.7, 0.0))
+        assert sizes == [n // 2 + 1]
+
+    @pytest.mark.parametrize("block", [1, 2])
+    @pytest.mark.parametrize("n", [30, 31])
+    def test_unfolded_vectors_checked_against_full_h(self, monkeypatch, block, n):
+        # a defect in either block's solve shows in the m-basis checks
+        params = ModelParams(n, -0.9, 0.0)
+        shift = 2 * RESIDUAL_TOL * build_hamiltonian(params).norm_estimate
+        for corrupt, match in (
+            (lambda w, v: (w + shift, v), "residual"),
+            (lambda w, v: (w, v * (1 + 1e-6)), "orthonormality"),
+        ):
+            calls = []
+
+            def perturbed(*args, **kwargs):
+                w, v = eigh_tridiagonal(*args, **kwargs)
+                calls.append(None)
+                return corrupt(w, v) if len(calls) == block else (w, v)
+
+            monkeypatch.setattr(josephson, "eigh_tridiagonal", perturbed)
+            with pytest.raises(ConvergenceError, match=match):
+                full_spectrum(params)
+
+
 class TestThermalEnsemble:
     def test_zero_temperature(self):
         params = ModelParams(50, -0.5, 0.0)

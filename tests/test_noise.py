@@ -5,7 +5,6 @@ import pytest
 
 from bellfringe import (
     ModelParams,
-    NoiseConfig,
     bell_witness,
     blur_visibility,
     compute_moments,
@@ -13,7 +12,6 @@ from bellfringe import (
     delta_mixture_moments,
     delta_thermal_mixture,
     ensemble_moments,
-    gauss_hermite_rule,
     ground_state,
     phase_squeezing,
     split_gaussian_rule,
@@ -21,44 +19,6 @@ from bellfringe import (
     visibility,
 )
 from bellfringe.noise import _legendre
-
-
-class TestNoiseConfig:
-    def test_defaults_are_noiseless(self):
-        cfg = NoiseConfig()
-        assert cfg.sigma_delta == cfg.temperature == cfg.sigma_detector == 0.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            NoiseConfig(sigma_delta=-0.1)
-        with pytest.raises(ValueError):
-            NoiseConfig(temperature=-1.0)
-
-    def test_blur_needs_wavevector(self):
-        with pytest.raises(ValueError):
-            NoiseConfig(sigma_detector=0.5, k_fringe=0.0)
-
-
-class TestGaussHermiteRule:
-    def test_weights_normalized(self):
-        rule = gauss_hermite_rule(41, 0.3)
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
-        assert np.all(rule.weights > 0)
-
-    def test_moments_of_gaussian(self):
-        sigma = 0.7
-        rule = gauss_hermite_rule(21, sigma)
-        assert np.dot(rule.weights, rule.nodes) == pytest.approx(0.0, abs=1e-12)
-        assert np.dot(rule.weights, rule.nodes**2) == pytest.approx(
-            sigma**2, rel=1e-12
-        )
-        assert np.dot(rule.weights, rule.nodes**4) == pytest.approx(
-            3 * sigma**4, rel=1e-12
-        )
-
-    def test_nodes_symmetric(self):
-        rule = gauss_hermite_rule(11, 1.0)
-        assert np.allclose(rule.nodes, -rule.nodes[::-1])
 
 
 class TestSplitGaussianRule:
@@ -150,6 +110,13 @@ class TestDeltaMixture:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             delta_mixture(10, 0.0, -0.1)
+
+    def test_order_one_has_no_doubling_check(self):
+        # doubling order 1 gives 2 * 1 - 1 = 1: the check would compare a
+        # level with itself, so it is refused; unchecked order 1 still runs
+        with pytest.raises(ValueError, match="order >= 3"):
+            delta_mixture(200, -1.03, 0.06, order=1)
+        assert len(delta_mixture(200, -1.03, 0.06, order=1, check=False).states) == 2
 
 
 class TestDeltaThermalMixture:

@@ -11,7 +11,6 @@ from bellfringe import (
     compute_moments,
     ensemble_moments,
     ground_state,
-    ladder_coefficient,
     moment_table,
     rotate_pi2_about_x,
 )
@@ -54,29 +53,6 @@ class TestBuildBasis:
             m = build_basis(n).m_values
             assert np.allclose(np.diff(m), 1.0)
             assert np.allclose(m, -m[::-1])
-
-
-class TestLadderCoefficient:
-    def test_n2_center(self):
-        basis = build_basis(2)
-        assert ladder_coefficient(basis, 0.0) == pytest.approx(math.sqrt(2) / 2)
-
-    def test_symmetry(self):
-        basis = build_basis(2)
-        assert ladder_coefficient(basis, -1.0) == pytest.approx(
-            ladder_coefficient(basis, 0.0)
-        )
-
-    def test_n1000_center(self):
-        basis = build_basis(1000)
-        assert ladder_coefficient(basis, 0.0) == pytest.approx(
-            0.5 * math.sqrt(500 * 501), abs=1e-9
-        )
-
-    def test_out_of_range(self):
-        basis = build_basis(2)
-        with pytest.raises(ValueError):
-            ladder_coefficient(basis, 1.0)  # m+1 = 2 outside the ladder
 
 
 class TestComputeMoments:

@@ -194,3 +194,19 @@ class TestVisibilityRounding:
             visibility(m, 400)
         with pytest.raises(VisibilityError):
             report_from_moments(m, 400)
+
+    def test_direct_minimum_bounds_rounded_jx(self):
+        # a coherent state whose <Jx> rounded just above N/2: the extensive
+        # minimum is the one of <Jx> = N/2 (0 at theta = 0), never below it
+        n = 1000
+        over = self.moments_with_nu(1.0 + NU_ROUNDING_SLACK, n)
+        exact = self.moments_with_nu(1.0, n)
+        assert over.jx > n / 2
+        _, b_min = minimize_bell_direct(n, over)
+        assert b_min == minimize_bell_direct(n, exact)[1]
+        assert b_min >= 0.0
+
+    @pytest.mark.parametrize("excess", [1e-9, 64 * np.finfo(float).eps])
+    def test_direct_minimum_rejects_larger_excess(self, excess):
+        with pytest.raises(VisibilityError, match="outside"):
+            minimize_bell_direct(400, self.moments_with_nu(1.0 + excess, 400))
