@@ -1,7 +1,8 @@
 """Command-line driver: scans, crossings, boundaries, MC verification.
 
 Exit status: 0 on success, 1 on configuration errors, 2 on computation
-errors.  The thread count can also be set with BELLFRINGE_THREADS.
+errors.  ``--threads`` (or BELLFRINGE_THREADS) is accepted and passed on to
+``run_scan``, which runs serially.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ import math
 import numbers
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -301,16 +300,13 @@ def _scan_one_lambda(spec: ScanSpec, lam: float, cache: SpectrumCache) -> list:
 
 
 def run_scan(spec: ScanSpec, threads: int = 1, cache_dir: str = None) -> list:
-    """Evaluate the scan grid; rows come back in deterministic grid order
-    (lambda outer, noise inner) regardless of worker completion order."""
+    """Evaluate the scan grid in grid order (lambda outer, noise inner).
+
+    The grid runs serially whatever ``threads`` says: the LAPACK wrappers
+    hold the interpreter lock, so a thread pool measured no faster.
+    """
     cache = SpectrumCache(cache_dir) if cache_dir else None
-    if threads <= 1 or len(spec.lambda_grid) == 1:
-        chunks = [_scan_one_lambda(spec, lam, cache) for lam in spec.lambda_grid]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(
-                pool.map(lambda lam: _scan_one_lambda(spec, lam, cache), spec.lambda_grid)
-            )
+    chunks = [_scan_one_lambda(spec, lam, cache) for lam in spec.lambda_grid]
     return [row for chunk in chunks for row in chunk]
 
 

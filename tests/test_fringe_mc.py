@@ -13,6 +13,7 @@ from bellfringe import (
     sample_shot,
     verify_sensitivity,
 )
+from bellfringe import fringe_mc
 from bellfringe.fringe_mc import wrap_phase
 
 TWO_PI = 2.0 * math.pi
@@ -55,6 +56,32 @@ class TestParams:
             make_params(n_atoms=0)
         with pytest.raises(ValueError):
             make_params(k=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("phi", math.nan),
+            ("phi", math.inf),
+            ("phi", -math.inf),
+            ("k", math.nan),
+            ("k", math.inf),
+            ("k", -2.0),
+            ("nu", math.nan),
+            ("n_atoms", 1000.0),
+            ("n_atoms", True),
+            ("n_atoms", "1000"),
+            ("n_periods", 8.0),
+            ("n_periods", False),
+            ("n_periods", 0),
+        ],
+    )
+    def test_rejects_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_params(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        p = make_params(n_atoms=np.int64(500), n_periods=np.int32(4))
+        assert p.window == pytest.approx(4 * math.pi)
 
 
 class TestSampler:
@@ -103,6 +130,13 @@ class TestSampler:
         rate = np.mean(u < density(x, p.nu, 0.0, p.k))
         assert rate == pytest.approx(1.0 / 1.6, rel=0.02)
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf])
+    def test_rejects_nonfinite_phase(self, phase):
+        # no density value compares true against a nan, so rejection would
+        # never accept a position
+        with pytest.raises(ValueError, match="shot_phase"):
+            sample_shot(make_params(), phase, 0)
+
 
 class TestShotPhase:
     def test_zero_squeezing_is_exact(self):
@@ -117,6 +151,16 @@ class TestShotPhase:
     def test_rejects_negative_xi2(self):
         with pytest.raises(ValueError):
             draw_shot_phase(0.0, -1.0, 100, 0)
+
+    @pytest.mark.parametrize("xi2", [math.nan, math.inf])
+    def test_rejects_nonfinite_xi2(self, xi2):
+        with pytest.raises(ValueError, match="xi2"):
+            draw_shot_phase(0.0, xi2, 100, 0)
+
+    def test_sized_draw(self):
+        phases = draw_shot_phase(0.4, 2.0, 200, 9, size=5)
+        assert np.array_equal(phases, 0.4 + np.random.default_rng(9).normal(0.0, 0.1, 5))
+        assert np.array_equal(draw_shot_phase(0.4, 0.0, 200, 9, size=3), [0.4] * 3)
 
 
 class TestWrapPhase:
@@ -261,3 +305,82 @@ class TestVerifySensitivity:
             verify_sensitivity(make_params(nu=0.1), 1.0, 1000, 0)
         with pytest.raises(ValueError):
             verify_sensitivity(make_params(nu=0.9), 1.0, 10, 0)
+
+    @pytest.mark.parametrize("xi2", [math.nan, math.inf, -math.inf, -0.5])
+    def test_rejects_bad_xi2(self, xi2):
+        with pytest.raises(ValueError, match="xi2"):
+            verify_sensitivity(make_params(nu=0.9), xi2, 1000, 0)
+
+    @pytest.mark.parametrize("n_shots", [1000.0, 1e4, "1000", True])
+    def test_rejects_non_integer_shots(self, n_shots):
+        with pytest.raises(ValueError, match="n_shots"):
+            verify_sensitivity(make_params(nu=0.9), 1.0, n_shots, 0)
+
+
+def fit_bins(p):
+    """Edges of the fit's bins for ``p`` and their [cos kx_c, sin kx_c]."""
+    waves = fringe_mc._bin_layout(p.k, p.window, p.n_atoms)
+    return np.linspace(0.0, p.window, waves.shape[1] + 1), waves
+
+
+class TestMultinomialBench:
+    @pytest.mark.parametrize(
+        "nu, k, n_atoms, n_periods",
+        [(0.9, 1.0, 1000, 8), (0.3, 2.7, 500, 3), (1.0, 0.4, 2000, 1), (0.0, 1.3, 100, 5)],
+    )
+    def test_probabilities_integrate_the_density(self, nu, k, n_atoms, n_periods):
+        p = make_params(nu=nu, k=k, n_atoms=n_atoms, n_periods=n_periods)
+        edges, waves = fit_bins(p)
+        phases = np.array([0.3, -2.9, math.pi, 7.0])
+        prob = fringe_mc.bin_probabilities(p, phases, waves)
+        assert prob.shape == (len(phases), len(edges) - 1)
+        assert np.all(np.abs(prob.sum(axis=1) - 1.0) < 1e-12)
+        # 8-point Gauss-Legendre per bin is exact to rounding for a cosine
+        # over a small fraction of its period
+        nodes, weights = np.polynomial.legendre.leggauss(8)
+        half = 0.5 * np.diff(edges)
+        x = (edges[:-1] + half)[:, None] + half[:, None] * nodes
+        for phase, row in zip(phases, prob):
+            integral = (density(x, nu, phase, k) @ weights) * half / p.window
+            assert np.max(np.abs(row - integral)) < 1e-14
+
+    def test_sampled_histograms_follow_the_probabilities(self):
+        p = make_params(nu=0.8, n_atoms=500, n_periods=4)
+        edges, waves = fit_bins(p)
+        phase, shots = 0.7, 400
+        rng = np.random.default_rng(17)
+        counts = np.array(
+            [
+                np.histogram(sample_shot(p, phase, rng), bins=edges)[0]
+                for _ in range(shots)
+            ]
+        )
+        expected = p.n_atoms * fringe_mc.bin_probabilities(p, phase, waves)
+        se = np.sqrt(expected * (1.0 - expected / p.n_atoms) / shots)
+        assert np.all(np.abs(counts.mean(axis=0) - expected) < 5.0 * se)
+
+    def test_batched_fit_matches_fit_phase(self):
+        p = make_params(nu=0.7, n_atoms=800, n_periods=5)
+        edges, waves = fit_bins(p)
+        shots = [sample_shot(p, phase, seed) for seed, phase in enumerate((-3.1, 0.2, 2.0))]
+        counts = np.array([np.histogram(x, bins=edges)[0] for x in shots])
+        batched = fringe_mc.fit_counts(counts, p.n_atoms, waves)
+        for x, phi in zip(shots, batched):
+            single = fit_phase(x, p.k, p.window).phi_est
+            assert wrap_phase(phi - single) == pytest.approx(0.0, abs=1e-12)
+
+    def test_result_does_not_depend_on_chunk_size(self, monkeypatch):
+        p = make_params(nu=0.85, phi=-0.4, n_atoms=700)
+        results = []
+        for chunk in (1, 7, 64):
+            monkeypatch.setattr(fringe_mc, "SHOT_CHUNK", chunk)
+            results.append(verify_sensitivity(p, 0.8, 1001, 99))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("n_atoms, nu", [(500, 0.9), (1000, 0.6), (2000, 0.35)])
+    def test_variance_matches_least_squares_reference(self, n_atoms, nu):
+        shots, xi2 = 4000, 0.7
+        res = verify_sensitivity(make_params(nu=nu, n_atoms=n_atoms), xi2, shots, 2024)
+        ratio = res.empirical_variance / fringe_mc.least_squares_variance(xi2, nu, n_atoms)
+        assert abs(ratio - 1.0) < 5.0 * math.sqrt(2.0 / (shots - 1))
+        assert abs(res.mean_deviation) < 5.0 * res.std_error

@@ -478,6 +478,14 @@ class TestCli:
         assert cli_main(argv) == 0
         assert seen == [-5.398460529870697e-05]
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--phi", "nan"), ("--phi", "inf"), ("--xi2", "nan"), ("--xi2", "inf")]
+    )
+    def test_mc_verify_nonfinite_input_is_config_error(self, flag, value, capsys):
+        argv = ["mc-verify", flag, value, "--n-atoms", "200", "--n-shots", "1000"]
+        assert cli_main(argv) == 1
+        assert flag.lstrip("-") in capsys.readouterr().err
+
     def test_analytics_command(self, capsys):
         rc = cli_main(["analytics", "--lam", "8.0", "--lam", "-0.5"])
         assert rc == 0
