@@ -8,6 +8,7 @@ errors.  ``--threads`` (or BELLFRINGE_THREADS) is accepted and passed on to
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -149,6 +150,7 @@ def cmd_analytics(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parsing does not mutate it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bellfringe",
@@ -189,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

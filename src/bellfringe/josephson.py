@@ -321,16 +321,12 @@ def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def thermal_ensemble(
-    params: ModelParams,
-    temperature: float,
-    weight_cutoff: float = THERMAL_WEIGHT_CUTOFF,
-) -> StateEnsemble:
+def thermal_ensemble(params: ModelParams, temperature: float) -> StateEnsemble:
     """Boltzmann mixture of eigenstates at k_B T / E_J = ``temperature``.
 
     Weights are exp(-(E_n - E0) / T), normalized to unit sum, over the
-    ``low_spectrum`` window -ln(weight_cutoff) T wide: states whose relative
-    weight falls below ``weight_cutoff`` are never diagonalized.  T = 0 is
+    ``low_spectrum`` window -ln(THERMAL_WEIGHT_CUTOFF) T wide: states whose
+    relative weight falls below the cutoff are never diagonalized.  T = 0 is
     the ground state; T = inf is the uniform mixture of the full spectrum
     (capped at ``FULL_SPECTRUM_CAP``).
     """
@@ -344,7 +340,8 @@ def thermal_ensemble(
         n = len(spec.states)
         return StateEnsemble(spec.states, np.full(n, 1.0 / n))
 
-    energies, vectors = low_spectrum(params, -math.log(weight_cutoff) * temperature)
+    window = -math.log(THERMAL_WEIGHT_CUTOFF) * temperature
+    energies, vectors = low_spectrum(params, window)
     basis = build_basis(params.n_particles)
     states = tuple(SpinState(basis, vectors[:, k]) for k in range(vectors.shape[1]))
     return StateEnsemble(states, boltzmann_weights(energies, temperature))

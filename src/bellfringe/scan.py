@@ -1,16 +1,16 @@
 """Parameter scans over interaction strength and a noise axis.
 
-A scan walks a lambda grid (outer) and a noise grid (inner), builds the
-state or ensemble for each grid point, and emits one row of witness
-quantities per point.  Rows are computed pointwise, so results do not
-depend on grid ordering, and per-point failures are recorded in an error
-column instead of aborting the scan.
-
-A thermal scan diagonalizes each lambda once, over the energy window the
-largest finite temperature of the grid occupies, and reduces the kept
-states to a K x 6 moment table; every temperature of the column is a
-Boltzmann average of that table.  T = 0 reads the ground-state row, and
-T = inf needs no spectrum at all, because Tr(Jx) = 0 leaves no fringes.
+A scan walks a lambda grid (outer) and a noise grid (inner) and emits one
+row of witness quantities per point.  For each lambda, a column source
+does the shared work and returns the spin moments at each noise value:
+ground and blurred modes, the one ground-state row (blurred also checks
+its unblurred report); delta_mixture, the quadrature mixture at each
+sigma_delta; thermal, Boltzmann averages of a K x 6 moment table solved
+once over the window the largest finite T occupies (T = 0 reads its ground
+row, and T = inf is the uniform mixture, with no fringes).  One row path
+then probes the visibility floor (after blur in blurred mode), rotates,
+forms (xi^2, nu) and builds the witness report.  A failure at one point
+becomes an error row; a failed column source fails its whole column.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import numbers
 import os
 import tempfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,7 +35,9 @@ from .josephson import (
 )
 from .noise import blur_visibility, delta_mixture_moments
 from .spin_core import Moments, build_basis, compute_moments, moment_table
-from .witnesses import VisibilityError, build_report, report_from_moments, visibility
+from .spin_core import rotate_pi2_about_x
+from .witnesses import VisibilityError, build_report, phase_squeezing, visibility
+from .witnesses import report_from_moments
 
 __all__ = [
     "ScanSpec",
@@ -65,13 +67,9 @@ CSV_HEADER = (
     "interior_minimum,rotated,var_phi,error"
 )
 
+# the ScanRow fields a WitnessReport supplies
 ROW_FIELDS = (
-    "nu",
-    "xi2",
-    "a_param",
-    "b_param",
-    "theta0",
-    "var_phi",
+    "nu", "xi2", "a_param", "b_param", "theta0", "interior_minimum", "var_phi"
 )
 
 
@@ -110,12 +108,10 @@ class ScanSpec:
             raise ValueError(
                 f"mode {self.mode!r} requires noise_axis {MODE_AXIS[self.mode]!r}"
             )
-        if isinstance(self.n_particles, bool) or not isinstance(
-            self.n_particles, numbers.Integral
-        ):
-            raise ValueError(
-                f"n_particles must be an integer, got {self.n_particles!r}"
-            )
+        for name in ("n_particles", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
         if len(self.lambda_grid) == 0 or len(self.noise_grid) == 0:
@@ -129,7 +125,7 @@ class ScanSpec:
                 f"noise_grid ({self.noise_axis}) values must be nonnegative"
                 " and, outside thermal mode, finite"
             )
-        if not (math.isfinite(self.k_fringe) and self.k_fringe > 0):
+        if not (_is_real(self.k_fringe) and 0 < self.k_fringe < math.inf):
             raise ValueError("k_fringe must be positive and finite")
         if list(self.lambda_grid) != sorted(self.lambda_grid) or list(
             self.noise_grid
@@ -137,6 +133,10 @@ class ScanSpec:
             raise ValueError("grids must be monotone increasing")
         if self.rotation not in ("auto", "off"):
             raise ValueError("rotation must be 'auto' or 'off'")
+        if not all(name in ("csv", "json") for name in self.outputs):
+            raise ValueError(f"outputs must name 'csv' or 'json', got {self.outputs!r}")
+        if not (self.mc is None or isinstance(self.mc, dict)):
+            raise ValueError(f"mc must be an object, got {self.mc!r}")
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -153,9 +153,19 @@ class ScanSpec:
         return cls(**data)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _expand_grid(grid):
     if isinstance(grid, dict):
-        return [float(x) for x in np.linspace(grid["start"], grid["stop"], grid["num"])]
+        grid = np.linspace(grid["start"], grid["stop"], grid["num"])
+    elif isinstance(grid, str) or not all(_is_real(x) for x in grid):
+        raise ValueError(f"grid values must be numbers, got {grid!r}")
     return [float(x) for x in grid]
 
 
@@ -211,16 +221,6 @@ class SpectrumCache:
         return energies, table
 
 
-def _row_from_report(lam: float, noise_value: float, report) -> ScanRow:
-    return ScanRow(
-        lam=lam,
-        noise_value=noise_value,
-        interior_minimum=report.interior_minimum,
-        rotated=report.rotated,
-        **{name: getattr(report, name) for name in ROW_FIELDS},
-    )
-
-
 def _error_row(lam, noise_value, rotate, error) -> ScanRow:
     """Row with an error marker: a message, or the exception that was raised."""
     if isinstance(error, Exception):
@@ -228,74 +228,60 @@ def _error_row(lam, noise_value, rotate, error) -> ScanRow:
     return ScanRow(lam=lam, noise_value=noise_value, rotated=rotate, error=error)
 
 
-def _row_from_moments(
-    spec: ScanSpec, lam: float, noise_value: float, moments: Moments, rotate: bool
-) -> ScanRow:
-    # rotation leaves jx alone, so the nu floor can be probed before rotating
-    if visibility(moments, spec.n_particles) < NU_FLOOR:
-        return _error_row(lam, noise_value, rotate, FLOOR_ERROR)
-    report = report_from_moments(moments, spec.n_particles, apply_rotation=rotate)
-    return _row_from_report(lam, noise_value, report)
+def _column_source(spec: ScanSpec, lam: float, noise_grid, rotate: bool, cache):
+    """The work one lambda column shares; returns noise value -> moments."""
+    n = spec.n_particles
+    if spec.mode == "delta_mixture":
+        return lambda sigma_delta: delta_mixture_moments(n, lam, sigma_delta)
+    params = ModelParams(n, lam, 0.0)
+    if spec.mode != "thermal":
+        moments = compute_moments(ground_state(params)[1])
+        if spec.mode == "blurred":
+            # blur rescales nu only; the unblurred report must hold for the column
+            report_from_moments(moments, n, apply_rotation=rotate)
+        return lambda _: moments
+    finite = [t for t in noise_grid if not math.isinf(t)]
+    if finite:
+        solve = cache.moment_table if cache else _thermal_table
+        energies, table = solve(params, -math.log(THERMAL_WEIGHT_CUTOFF) * max(finite))
+
+    def thermal(t):
+        if math.isinf(t):  # the uniform mixture: no <Jx>, each <Ji^2> = j(j+1)/3
+            return Moments(0.0, 0.0, 0.0, *[n * (n + 2) / 12] * 3)
+        mean = table[0] if t == 0 else boltzmann_weights(energies, t) @ table
+        return Moments(*mean)
+
+    return thermal
 
 
-def _scan_one_lambda(spec: ScanSpec, lam: float, cache: SpectrumCache) -> list:
+def _scan_one_lambda(spec: ScanSpec, lam: float, noise_grid, cache=None) -> list:
+    """Rows of one lambda column: its moments at each noise value, then
+    the nu floor, blur, rotation and witness report, the same in every mode."""
     rotate = spec.rotation == "auto" and lam > 0
-    rows = []
     if spec.mode == "ground_state":
+        noise_grid = (0.0,)
+    try:
+        moments_at = _column_source(spec, lam, noise_grid, rotate, cache)
+    except Exception as exc:
+        return [_error_row(lam, v, rotate, exc) for v in noise_grid]
+    rows = []
+    for value in noise_grid:
         try:
-            _, state = ground_state(ModelParams(spec.n_particles, lam, 0.0))
-            rows.append(
-                _row_from_moments(spec, lam, 0.0, compute_moments(state), rotate)
-            )
+            moments = moments_at(value)
+            nu = visibility(moments, spec.n_particles)
+            if spec.mode == "blurred":
+                nu = blur_visibility(nu, spec.k_fringe, value)
+            if nu < NU_FLOOR:
+                rows.append(_error_row(lam, value, rotate, FLOOR_ERROR))
+                continue
+            if rotate:
+                moments = rotate_pi2_about_x(moments)
+            xi2 = phase_squeezing(moments, spec.n_particles)
+            report = build_report(xi2, nu, spec.n_particles, rotated=rotate)
+            fields = {name: getattr(report, name) for name in ROW_FIELDS}
+            rows.append(ScanRow(lam, value, rotated=rotate, **fields))
         except Exception as exc:
-            rows.append(_error_row(lam, 0.0, rotate, exc))
-    elif spec.mode == "thermal":
-        params = ModelParams(spec.n_particles, lam, 0.0)
-        finite = [t for t in spec.noise_grid if not math.isinf(t)]
-        try:
-            if finite:
-                window = -math.log(THERMAL_WEIGHT_CUTOFF) * max(finite)
-                energies, table = (
-                    cache.moment_table(params, window)
-                    if cache
-                    else _thermal_table(params, window)
-                )
-        except Exception as exc:
-            return [_error_row(lam, t, rotate, exc) for t in spec.noise_grid]
-        for t in spec.noise_grid:
-            try:
-                if math.isinf(t):
-                    rows.append(_error_row(lam, t, rotate, FLOOR_ERROR))
-                    continue
-                mean = table[0] if t == 0 else boltzmann_weights(energies, t) @ table
-                rows.append(_row_from_moments(spec, lam, t, Moments(*mean), rotate))
-            except Exception as exc:
-                rows.append(_error_row(lam, t, rotate, exc))
-    elif spec.mode == "delta_mixture":
-        for sd in spec.noise_grid:
-            try:
-                moments = delta_mixture_moments(spec.n_particles, lam, sd)
-                rows.append(_row_from_moments(spec, lam, sd, moments, rotate))
-            except Exception as exc:
-                rows.append(_error_row(lam, sd, rotate, exc))
-    else:  # blurred
-        try:
-            _, state = ground_state(ModelParams(spec.n_particles, lam, 0.0))
-            base = report_from_moments(
-                compute_moments(state), spec.n_particles, apply_rotation=rotate
-            )
-        except Exception as exc:
-            return [_error_row(lam, s, rotate, exc) for s in spec.noise_grid]
-        for sigma in spec.noise_grid:
-            try:
-                nu_b = blur_visibility(base.nu, spec.k_fringe, sigma)
-                if nu_b < NU_FLOOR:
-                    rows.append(_error_row(lam, sigma, rotate, FLOOR_ERROR))
-                    continue
-                report = build_report(base.xi2, nu_b, spec.n_particles, rotated=rotate)
-                rows.append(_row_from_report(lam, sigma, report))
-            except Exception as exc:
-                rows.append(_error_row(lam, sigma, rotate, exc))
+            rows.append(_error_row(lam, value, rotate, exc))
     return rows
 
 
@@ -306,16 +292,18 @@ def run_scan(spec: ScanSpec, threads: int = 1, cache_dir: str = None) -> list:
     hold the interpreter lock, so a thread pool measured no faster.
     """
     cache = SpectrumCache(cache_dir) if cache_dir else None
-    chunks = [_scan_one_lambda(spec, lam, cache) for lam in spec.lambda_grid]
-    return [row for chunk in chunks for row in chunk]
+    return [
+        row
+        for lam in spec.lambda_grid
+        for row in _scan_one_lambda(spec, lam, spec.noise_grid, cache)
+    ]
 
 
 def make_evaluator(spec: ScanSpec, noise_value: float = 0.0, column: str = "b_param"):
     """Fresh-model evaluation of one scan column as a function of lambda."""
-    noise_grid = (noise_value,) if spec.mode != "ground_state" else (0.0,)
 
     def evaluate(lam: float) -> float:
-        (row,) = run_scan(replace(spec, lambda_grid=(lam,), noise_grid=noise_grid))
+        (row,) = _scan_one_lambda(spec, lam, (noise_value,))
         if row.error:
             raise VisibilityError(row.error)
         return getattr(row, column)

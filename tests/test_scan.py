@@ -1,9 +1,12 @@
 import csv
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bellfringe import (
     ModelParams,
@@ -29,6 +32,8 @@ from bellfringe.cli import main as cli_main
 from bellfringe.scan import (
     CSV_HEADER,
     FLOOR_ERROR,
+    MODE_AXIS,
+    MODES,
     SpectrumCache,
     make_evaluator,
     rows_to_csv,
@@ -216,6 +221,37 @@ class TestRunScan:
         assert not rows[0].error
         assert rows[1].error == "visibility below threshold"
         assert math.isnan(rows[1].b_param)
+
+    @pytest.mark.parametrize("rotation", ["auto", "off"])
+    @pytest.mark.parametrize("n", [1, 2, 40, 1000])
+    def test_zero_noise_gives_the_ground_row(self, n, rotation):
+        lams = (-3.0, -1.3, -1.0, -0.9, 0.0, 0.5, 3.0)
+        ground = run_scan(ground_spec(lams, n=n, rotation=rotation))
+
+        def at_zero(mode):
+            return run_scan(
+                ScanSpec(
+                    n_particles=n,
+                    lambda_grid=lams,
+                    mode=mode,
+                    noise_axis=MODE_AXIS[mode],
+                    rotation=rotation,
+                )
+            )
+
+        assert at_zero("blurred") == ground
+        assert at_zero("delta_mixture") == ground
+        # T = 0 reads the stemr window's first state, not the stebz ground
+        # state; a, b and theta0 lose relative accuracy where they cancel to
+        # near zero, hence the absolute floor
+        for row, want in zip(at_zero("thermal"), ground, strict=True):
+            assert (row.lam, row.error, row.rotated, row.interior_minimum) == (
+                want.lam, want.error, want.rotated, want.interior_minimum
+            )
+            for name in ("nu", "xi2", "a_param", "b_param", "theta0", "var_phi"):
+                assert getattr(row, name) == pytest.approx(
+                    getattr(want, name), rel=1e-12, abs=1e-12, nan_ok=True
+                ), (row.lam, name)
 
     @pytest.mark.parametrize("n", [12, 40])
     def test_thermal_rows_match_dense_boltzmann(self, n):
@@ -517,6 +553,13 @@ class TestCli:
                 "noise_grid": [-0.5],
                 "k_fringe": -1.0,
             },
+            {"outputs": "csv"},
+            {"outputs": ["xml"]},
+            {"seed": "x"},
+            {"seed": True},
+            {"k_fringe": True},
+            {"lambda_grid": "12"},
+            {"mc": "x"},
         ],
         ids=[
             "float_n",
@@ -524,6 +567,13 @@ class TestCli:
             "negative_temperature",
             "nan_lambda",
             "negative_k_and_sigma",
+            "outputs_string",
+            "unknown_output",
+            "string_seed",
+            "bool_seed",
+            "bool_k",
+            "string_grid",
+            "string_mc",
         ],
     )
     def test_bad_spec_is_config_error(self, tmp_path, overrides):
@@ -534,6 +584,23 @@ class TestCli:
         assert rc == 1
         assert not (tmp_path / "out").exists()
 
+    def test_main_reuses_one_parser(self, monkeypatch, capsys):
+        parser, calls = cli.build_parser(), []
+        original = parser.parse_args
+
+        def spy(argv):
+            calls.append(argv)
+            return original(argv)
+
+        monkeypatch.setattr(parser, "parse_args", spy)
+        argv = ["analytics", "--lam", "-0.9", "--lam", "8.0"]
+        assert cli_main(argv) == 0
+        first = capsys.readouterr().out
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert calls == [argv, argv]
+        assert cli.build_parser() is parser
+
     def test_threads_env_override(self, tmp_path, monkeypatch):
         cfg = self.write_config(
             tmp_path, {"n_particles": 40, "lambda_grid": [-0.5, 0.5]}
@@ -541,3 +608,100 @@ class TestCli:
         monkeypatch.setenv("BELLFRINGE_THREADS", "2")
         rc = cli_main(["scan", "--config", cfg, "--out", str(tmp_path / "t")])
         assert rc == 0
+
+
+NOISE_VALUES = {
+    "none": st.floats(0.0, 10.0),
+    "temperature": st.floats(0.0, 50.0) | st.just(math.inf),
+    "sigma_delta": st.floats(0.0, 0.3),
+    "sigma_detector": st.floats(0.0, 10.0),
+}
+BAD_GRIDS = ([], [math.nan], [math.inf], [1.0, 0.5], "12", [True], [None], ["1"], 3.0)
+BAD_VALUES = {
+    "n_particles": st.sampled_from([0, -3, 2.5, "4", True, None, [4]]),
+    "lambda_grid": st.sampled_from(
+        [*BAD_GRIDS, [-math.inf], {"start": 0, "stop": 1, "num": 0}, {"start": 0}]
+    ),
+    "mode": st.sampled_from(["bogus", "Thermal", None, 3]),
+    "noise_grid": st.sampled_from([*BAD_GRIDS, [-0.1]]),
+    "k_fringe": st.sampled_from([0, -1.0, math.nan, math.inf, "1", True, None, [1.0]]),
+    "seed": st.sampled_from([1.5, "x", True, None, [0]]),
+    "outputs": st.sampled_from(["csv", ["xml"], ["csv", "xml"], 5, None, [["csv"]]]),
+    "rotation": st.sampled_from(["on", "AUTO", None, True]),
+    "mc": st.sampled_from(["x", [1], 3, True]),
+}
+
+
+@st.composite
+def scan_configs(draw):
+    """``(config, rows)``: a valid scan config and the row count it must
+    give, or a config with one bad field and ``rows`` None."""
+    mode = draw(st.sampled_from(MODES))
+    axis = MODE_AXIS[mode]
+
+    def grid(values):
+        return sorted(draw(st.lists(values, min_size=1, max_size=4)))
+
+    config = {
+        "n_particles": draw(st.integers(1, 40)),
+        "lambda_grid": grid(st.floats(-1e6, 1e6)),
+        "mode": mode,
+        "noise_axis": axis,
+        "noise_grid": grid(NOISE_VALUES[axis]),
+        "k_fringe": draw(st.floats(0.1, 10.0)),
+        "seed": draw(st.integers(0, 2**31)),
+        "outputs": draw(
+            st.sampled_from([["csv"], ["json"], ["csv", "json"], ["json", "csv"]])
+        ),
+        "rotation": draw(st.sampled_from(["auto", "off"])),
+        "mc": draw(st.none() | st.fixed_dictionaries({"nu": st.floats(0.1, 1.0)})),
+    }
+    for key in ("k_fringe", "seed", "outputs", "rotation", "mc"):
+        if draw(st.booleans()):
+            del config[key]  # the default is valid too
+    fields = [*BAD_VALUES, "noise_axis", "extra", "missing"]
+    bad = draw(st.none() | st.sampled_from(fields))
+    if bad is None:
+        per_lambda = 1 if mode == "ground_state" else len(config["noise_grid"])
+        return config, len(config["lambda_grid"]) * per_lambda
+    if bad == "noise_axis":
+        others = [a for a in (*MODE_AXIS.values(), "bogus", None) if a != axis]
+        config["noise_axis"] = draw(st.sampled_from(others))
+    elif bad == "extra":
+        config["bogus"] = 1
+    elif bad == "missing":
+        del config[draw(st.sampled_from(["n_particles", "lambda_grid"]))]
+    elif bad == "noise_grid" and mode != "thermal" and draw(st.booleans()):
+        config["noise_grid"] = [0.0, math.inf]  # T = inf is a temperature only
+    else:
+        config[bad] = draw(BAD_VALUES[bad])
+    return config, None
+
+
+class TestSpecFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(scan_configs())
+    def test_cli_scan_accepts_valid_and_refuses_invalid_specs(self, case):
+        config, rows = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "out")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            code = cli_main(["scan", "--config", cfg, "--out", out])
+            if rows is None:
+                assert code == 1
+                assert not os.path.exists(out)
+                return
+            assert code == 0
+            outputs = config.get("outputs", ["csv", "json"])
+            assert sorted(os.listdir(out)) == sorted(f"scan.{ext}" for ext in outputs)
+            if "json" in outputs:
+                with open(os.path.join(out, "scan.json"), encoding="utf-8") as fh:
+                    written = json.load(fh)["rows"]
+            else:
+                with open(os.path.join(out, "scan.csv"), encoding="utf-8") as fh:
+                    written = list(csv.DictReader(fh))
+            assert len(written) == rows
+            # a numpy warning, raised as an error under pytest, must not
+            # have turned a point into an error row
+            assert not any("Warning" in row["error"] for row in written)
