@@ -25,13 +25,11 @@ __all__ = [
     "analytic_boundary_temperature",
     "analytic_boundary_sigma",
     "FERRO_EDGE",
-    "SQUEEZING_EDGE",
     "BREAKDOWN_HALF_WIDTH",
 ]
 
 # Lower end of the cat regime and of the phase-squeezing interval.
 FERRO_EDGE = -(1.0 + math.sqrt(5.0)) / 2.0
-SQUEEZING_EDGE = FERRO_EDGE
 # Exclusion window around the second-order transition at lam = -1.
 BREAKDOWN_HALF_WIDTH = 0.02
 

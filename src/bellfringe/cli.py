@@ -35,6 +35,8 @@ COMPUTE_ERROR = 2
 # argparse's own test misses exponents and reads a value such as -5.4e-05 as
 # an option flag
 NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# the keys of an mc-verify config's "mc" block
+MC_KEYS = {"nu", "xi2", "phi", "k", "n_atoms", "n_periods", "seed", "n_shots"}
 
 
 def _load_spec(path: str, no_rotation: bool, seed) -> ScanSpec:
@@ -45,6 +47,18 @@ def _load_spec(path: str, no_rotation: bool, seed) -> ScanSpec:
     if seed is not None:
         data["seed"] = seed
     return ScanSpec.from_dict(data)
+
+
+def _load_mc(path: str) -> dict:
+    """The "mc" block of a config file; an absent or null block is empty."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {data!r}")
+    mc = {} if data.get("mc") is None else data["mc"]
+    if not (isinstance(mc, dict) and mc.keys() <= MC_KEYS):
+        raise ValueError(f"mc must be an object with keys in {sorted(MC_KEYS)}, got {mc!r}")
+    return mc
 
 
 def _thread_count(args) -> int:
@@ -75,8 +89,8 @@ def cmd_scan(args) -> int:
 
 def cmd_crossings(args) -> int:
     spec = _load_spec(args.config, args.no_rotation, args.seed)
+    evaluate = make_evaluator(spec, column=args.column)  # refuses before the scan
     rows = run_scan(spec, threads=_thread_count(args), cache_dir=args.cache)
-    evaluate = make_evaluator(spec, column=args.column)
     crossings = find_zero_crossings(rows, args.column, evaluate)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "crossings.json")
@@ -104,11 +118,7 @@ def cmd_boundary(args) -> int:
 
 
 def cmd_mc_verify(args) -> int:
-    if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            mc = json.load(fh).get("mc") or {}
-    else:
-        mc = {}
+    mc = _load_mc(args.config) if args.config else {}
     nu = mc.get("nu", args.nu)
     xi2 = mc.get("xi2", args.xi2)
     params = FringeParams(

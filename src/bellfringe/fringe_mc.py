@@ -31,6 +31,7 @@ __all__ = [
     "sample_shot",
     "draw_shot_phase",
     "fit_phase",
+    "wrap_phase",
     "bin_probabilities",
     "sample_counts",
     "fit_counts",

@@ -269,7 +269,7 @@ def ground_state(params: ModelParams) -> tuple[float, SpinState]:
     return float(energies[0]), SpinState(build_basis(params.n_particles), vectors[:, 0])
 
 
-def full_spectrum(params: ModelParams, cap: int = FULL_SPECTRUM_CAP) -> Spectrum:
+def full_spectrum(params: ModelParams) -> Spectrum:
     """All N+1 eigenpairs, residual- and orthonormality-checked.
 
     Every vector follows the sign convention of ``_fix_signs`` (largest-|psi_m|
@@ -279,9 +279,10 @@ def full_spectrum(params: ModelParams, cap: int = FULL_SPECTRUM_CAP) -> Spectrum
     ferromagnetic doublets for lam < -1 come out as their even and odd
     members, even first, however close their energies.
     """
-    if params.n_particles > cap:
+    if params.n_particles > FULL_SPECTRUM_CAP:
         raise ValueError(
-            f"n_particles={params.n_particles} exceeds full-spectrum cap {cap}"
+            f"n_particles={params.n_particles} exceeds full-spectrum cap"
+            f" {FULL_SPECTRUM_CAP}"
         )
     energies, vectors = _solve(build_hamiltonian(params), params.delta == 0)
     basis = build_basis(params.n_particles)

@@ -48,6 +48,7 @@ __all__ = [
     "make_evaluator",
     "extract_region_boundary",
     "emit_outputs",
+    "rows_to_csv",
     "CSV_HEADER",
 ]
 
@@ -61,6 +62,8 @@ MODE_AXIS = {
 
 NU_FLOOR = 1e-6
 FLOOR_ERROR = "visibility below threshold"
+# bisection stops once the bracket on lambda is this narrow
+CROSSING_TOL = 1e-4
 
 CSV_HEADER = (
     "lambda,noise_value,nu,xi2,a_param,b_param,theta0,"
@@ -137,6 +140,12 @@ class ScanSpec:
             raise ValueError(f"outputs must name 'csv' or 'json', got {self.outputs!r}")
         if not (self.mc is None or isinstance(self.mc, dict)):
             raise ValueError(f"mc must be an object, got {self.mc!r}")
+        if self.mode == "ground_state":
+            if tuple(self.noise_grid) != (0.0,):
+                raise ValueError(
+                    f"ground_state noise_grid must be [0], got {self.noise_grid!r}"
+                )
+            object.__setattr__(self, "noise_grid", (0.0,))  # [0] and [-0.0] alike
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -163,6 +172,16 @@ def _is_real(value) -> bool:
 
 def _expand_grid(grid):
     if isinstance(grid, dict):
+        if not (
+            grid.keys() == {"start", "stop", "num"}
+            and all(_is_real(grid[k]) and math.isfinite(grid[k]) for k in ("start", "stop"))
+            and _is_integer(grid["num"])
+            and grid["num"] >= 1
+        ):
+            raise ValueError(
+                "a linspace grid is {start, stop, num} with finite numbers start"
+                f" and stop and an integer num >= 1, got {grid!r}"
+            )
         grid = np.linspace(grid["start"], grid["stop"], grid["num"])
     elif isinstance(grid, str) or not all(_is_real(x) for x in grid):
         raise ValueError(f"grid values must be numbers, got {grid!r}")
@@ -228,7 +247,7 @@ def _error_row(lam, noise_value, rotate, error) -> ScanRow:
     return ScanRow(lam=lam, noise_value=noise_value, rotated=rotate, error=error)
 
 
-def _column_source(spec: ScanSpec, lam: float, noise_grid, rotate: bool, cache):
+def _column_source(spec: ScanSpec, lam: float, rotate: bool, cache):
     """The work one lambda column shares; returns noise value -> moments."""
     n = spec.n_particles
     if spec.mode == "delta_mixture":
@@ -240,7 +259,7 @@ def _column_source(spec: ScanSpec, lam: float, noise_grid, rotate: bool, cache):
             # blur rescales nu only; the unblurred report must hold for the column
             report_from_moments(moments, n, apply_rotation=rotate)
         return lambda _: moments
-    finite = [t for t in noise_grid if not math.isinf(t)]
+    finite = [t for t in spec.noise_grid if not math.isinf(t)]
     if finite:
         solve = cache.moment_table if cache else _thermal_table
         energies, table = solve(params, -math.log(THERMAL_WEIGHT_CUTOFF) * max(finite))
@@ -254,18 +273,17 @@ def _column_source(spec: ScanSpec, lam: float, noise_grid, rotate: bool, cache):
     return thermal
 
 
-def _scan_one_lambda(spec: ScanSpec, lam: float, noise_grid, cache=None) -> list:
-    """Rows of one lambda column: its moments at each noise value, then
-    the nu floor, blur, rotation and witness report, the same in every mode."""
+def _scan_one_lambda(spec: ScanSpec, lam: float, cache=None) -> list:
+    """Rows of one lambda column: its moments at each noise value of the
+    spec, then the nu floor, blur, rotation and witness report, the same in
+    every mode."""
     rotate = spec.rotation == "auto" and lam > 0
-    if spec.mode == "ground_state":
-        noise_grid = (0.0,)
     try:
-        moments_at = _column_source(spec, lam, noise_grid, rotate, cache)
+        moments_at = _column_source(spec, lam, rotate, cache)
     except Exception as exc:
-        return [_error_row(lam, v, rotate, exc) for v in noise_grid]
+        return [_error_row(lam, v, rotate, exc) for v in spec.noise_grid]
     rows = []
-    for value in noise_grid:
+    for value in spec.noise_grid:
         try:
             moments = moments_at(value)
             nu = visibility(moments, spec.n_particles)
@@ -292,18 +310,20 @@ def run_scan(spec: ScanSpec, threads: int = 1, cache_dir: str = None) -> list:
     hold the interpreter lock, so a thread pool measured no faster.
     """
     cache = SpectrumCache(cache_dir) if cache_dir else None
-    return [
-        row
-        for lam in spec.lambda_grid
-        for row in _scan_one_lambda(spec, lam, spec.noise_grid, cache)
-    ]
+    return [row for lam in spec.lambda_grid for row in _scan_one_lambda(spec, lam, cache)]
 
 
-def make_evaluator(spec: ScanSpec, noise_value: float = 0.0, column: str = "b_param"):
-    """Fresh-model evaluation of one scan column as a function of lambda."""
+def make_evaluator(spec: ScanSpec, column: str = "b_param"):
+    """Fresh-model evaluation of one scan column as a function of lambda, at
+    the spec's noise value; a spec with more than one is refused, since a
+    crossing along lambda is defined at one noise value."""
+    if len(spec.noise_grid) != 1:
+        raise ValueError(
+            f"crossings need a spec with one noise value, got {len(spec.noise_grid)}"
+        )
 
     def evaluate(lam: float) -> float:
-        (row,) = _scan_one_lambda(spec, lam, (noise_value,))
+        (row,) = _scan_one_lambda(spec, lam)
         if row.error:
             raise VisibilityError(row.error)
         return getattr(row, column)
@@ -311,9 +331,10 @@ def make_evaluator(spec: ScanSpec, noise_value: float = 0.0, column: str = "b_pa
     return evaluate
 
 
-def find_zero_crossings(rows, column: str, evaluate, tol: float = 1e-4) -> list:
+def find_zero_crossings(rows, column: str, evaluate) -> list:
     """Refine sign changes of ``column`` along lambda by bisection on fresh
-    model evaluations; returns the crossing abscissas."""
+    model evaluations, to ``CROSSING_TOL``; returns the crossing abscissas.
+    The rows are one per lambda, as a one-noise-value scan gives them."""
     clean = [r for r in rows if not r.error]
     crossings = []
     for left, right in zip(clean[:-1], clean[1:]):
@@ -325,7 +346,7 @@ def find_zero_crossings(rows, column: str, evaluate, tol: float = 1e-4) -> list:
             continue
         lo, hi = left.lam, right.lam
         flo = evaluate(lo)
-        while hi - lo > tol:
+        while hi - lo > CROSSING_TOL:
             mid = 0.5 * (lo + hi)
             fmid = evaluate(mid)
             if fmid == 0.0:
@@ -389,18 +410,18 @@ def _row_dict(r: ScanRow) -> dict:
     return {k: None if v != v else v for k, v in row.items()}  # NaN -> null
 
 
-def emit_outputs(rows, spec: ScanSpec, out_dir: str, basename: str = "scan") -> list:
+def emit_outputs(rows, spec: ScanSpec, out_dir: str) -> list:
     """Write CSV and/or JSON mirrors of the scan; byte-identical for a fixed
     spec and seed."""
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     if "csv" in spec.outputs:
-        path = os.path.join(out_dir, f"{basename}.csv")
+        path = os.path.join(out_dir, "scan.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(rows_to_csv(rows))
         paths.append(path)
     if "json" in spec.outputs:
-        path = os.path.join(out_dir, f"{basename}.json")
+        path = os.path.join(out_dir, "scan.json")
         payload = {
             "spec": spec.to_dict(),
             "seed": spec.seed,

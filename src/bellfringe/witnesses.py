@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-10
+# minimize_bell_direct: coarse theta grid, then golden section to this width
+BELL_GRID_POINTS = 1024
+BELL_THETA_TOL = 1e-10
 # Rounding excess of 2|<Jx>|/N over 1 that still counts as nu = 1: 32 ulp of
 # 1.0.  The coherent state (lam = 0) reaches up to 8 ulp over N = 1..5000;
 # a real defect, such as a state off unit norm by NORM_TOL, is far larger.
@@ -112,9 +115,7 @@ def optimal_theta(nu: float, xi2: float) -> tuple[float, bool]:
     return 2.0 * math.acos(rhs), True
 
 
-def minimize_bell_direct(
-    n_particles: int, moments: Moments, grid_points: int = 1024, tol: float = 1e-10
-) -> tuple[float, float]:
+def minimize_bell_direct(n_particles: int, moments: Moments) -> tuple[float, float]:
     """Numerical minimum of bell_theta over theta in [0, pi].
 
     Coarse grid scan followed by golden-section refinement of the bracketing
@@ -125,11 +126,11 @@ def minimize_bell_direct(
     visibility(moments, n_particles)  # raises beyond the rounding slack
     jx = math.copysign(min(abs(moments.jx), 0.5 * n_particles), moments.jx)
     jy2 = moments.jy2
-    thetas = np.linspace(0.0, math.pi, grid_points)
+    thetas = np.linspace(0.0, math.pi, BELL_GRID_POINTS)
     values = bell_theta(n_particles, jx, jy2, thetas)
     i = int(np.argmin(values))
     lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, grid_points - 1)]
+    hi = thetas[min(i + 1, BELL_GRID_POINTS - 1)]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -137,7 +138,7 @@ def minimize_bell_direct(
     x2 = a + invphi * (b - a)
     f1 = bell_theta(n_particles, jx, jy2, x1)
     f2 = bell_theta(n_particles, jx, jy2, x2)
-    while b - a > tol:
+    while b - a > BELL_THETA_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)

@@ -24,7 +24,12 @@ from bellfringe import (
     visibility,
 )
 from bellfringe import josephson
-from bellfringe.josephson import RESIDUAL_TOL, SIGN_TIE_RTOL, _fix_signs
+from bellfringe.josephson import (
+    FULL_SPECTRUM_CAP,
+    RESIDUAL_TOL,
+    SIGN_TIE_RTOL,
+    _fix_signs,
+)
 
 from oracles import dense_hamiltonian, dense_moments
 
@@ -291,8 +296,9 @@ class TestFullSpectrum:
             assert min(np.abs(va - vb).max(), np.abs(va + vb).max()) <= 1e-8
 
     def test_cap(self):
+        # the guard runs before the Hamiltonian is built
         with pytest.raises(ValueError, match="cap"):
-            full_spectrum(ModelParams(10, 0.0, 0.0), cap=5)
+            full_spectrum(ModelParams(FULL_SPECTRUM_CAP + 1, 0.0, 0.0))
 
 
 class TestParityBlocks:

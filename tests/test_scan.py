@@ -348,6 +348,22 @@ class TestCrossingsAndBoundary:
         assert len(crossings) == 1
         assert crossings[0] == pytest.approx(-0.75, abs=0.02)
 
+    def test_blurred_crossing_bisects_at_the_spec_sigma(self):
+        spec = ScanSpec.from_dict(
+            {
+                "n_particles": 400,
+                "lambda_grid": {"start": -0.95, "stop": -0.3, "num": 14},
+                "mode": "blurred",
+                "noise_axis": "sigma_detector",
+                "noise_grid": [0.4],
+                "k_fringe": 1,
+            }
+        )
+        crossings = find_zero_crossings(run_scan(spec), "b_param", make_evaluator(spec))
+        assert len(crossings) == 1
+        # bisection at sigma = 0 would land near -0.85
+        assert crossings[0] == pytest.approx(-0.8778, abs=1e-4)
+
     def test_no_crossing(self):
         spec = ground_spec([-0.95, -0.85], n=200)
         rows = run_scan(spec)
@@ -456,6 +472,36 @@ class TestCli:
         assert data["column"] == "b_param"
         assert data["crossings"][0] == pytest.approx(-0.75, abs=0.03)
 
+    def test_crossings_refuse_several_noise_values(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "n_particles": 200,
+                "lambda_grid": [-0.9, -0.7, -0.5],
+                "mode": "thermal",
+                "noise_axis": "temperature",
+                "noise_grid": [0, 2],
+            },
+        )
+        out = tmp_path / "out"
+        rc = cli_main(["crossings", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        assert "one noise value" in capsys.readouterr().err
+        assert not (out / "crossings.json").exists()
+
+    def test_ground_noise_grid_spellings_give_one_output(self, tmp_path):
+        outputs = []
+        grids = [{}, {"noise_grid": [0]}, {"noise_grid": [0.0]}, {"noise_grid": [-0.0]}]
+        for k, extra in enumerate(grids):
+            cfg = self.write_config(
+                tmp_path, {"n_particles": 40, "lambda_grid": [-0.9, 0.5], **extra}
+            )
+            out = tmp_path / f"out{k}"
+            assert cli_main(["scan", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("scan.csv", "scan.json")])
+        # no -0 noise value from [-0.0]: every spelling writes the same bytes
+        assert outputs[1:] == [outputs[0]] * 3
+
     def test_boundary_command(self, tmp_path):
         cfg = self.write_config(
             tmp_path,
@@ -522,6 +568,16 @@ class TestCli:
         assert cli_main(argv) == 1
         assert flag.lstrip("-") in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config",
+        [[1, 2], {"mc": [1]}, {"mc": {"n_shot": 1000}}],
+        ids=["list_config", "list_mc", "unknown_mc_key"],
+    )
+    def test_mc_verify_bad_config_is_config_error(self, tmp_path, config, capsys):
+        cfg = self.write_config(tmp_path, config)
+        assert cli_main(["mc-verify", "--config", cfg, "--n-atoms", "200"]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
     def test_analytics_command(self, capsys):
         rc = cli_main(["analytics", "--lam", "8.0", "--lam", "-0.5"])
         assert rc == 0
@@ -560,6 +616,13 @@ class TestCli:
             {"k_fringe": True},
             {"lambda_grid": "12"},
             {"mc": "x"},
+            {"n_particles": 10, "lambda_grid": [0.5], "noise_grid": [0.5, 2.0]},
+            {"lambda_grid": {"start": True, "stop": 2, "num": True}},
+            {"lambda_grid": {"start": 0, "stop": 1, "num": 2.0}},
+            {"lambda_grid": {"start": 0, "stop": 1, "num": 0}},
+            {"lambda_grid": {"start": "0", "stop": 1, "num": 3}},
+            {"lambda_grid": {"start": 0, "stop": math.inf, "num": 3}},
+            {"lambda_grid": {"start": 0, "stop": 1, "num": 3, "step": 1}},
         ],
         ids=[
             "float_n",
@@ -574,6 +637,13 @@ class TestCli:
             "bool_k",
             "string_grid",
             "string_mc",
+            "ground_noise_grid",
+            "bool_linspace",
+            "float_num",
+            "zero_num",
+            "string_start",
+            "infinite_stop",
+            "extra_linspace_key",
         ],
     )
     def test_bad_spec_is_config_error(self, tmp_path, overrides):
@@ -611,17 +681,23 @@ class TestCli:
 
 
 NOISE_VALUES = {
-    "none": st.floats(0.0, 10.0),
     "temperature": st.floats(0.0, 50.0) | st.just(math.inf),
     "sigma_delta": st.floats(0.0, 0.3),
     "sigma_detector": st.floats(0.0, 10.0),
 }
 BAD_GRIDS = ([], [math.nan], [math.inf], [1.0, 0.5], "12", [True], [None], ["1"], 3.0)
+BAD_LINSPACES = (
+    {"start": 0, "stop": 1, "num": 0},
+    {"start": 0},
+    {"start": True, "stop": 2, "num": True},
+    {"start": 0, "stop": 1, "num": 2.0},
+    {"start": "0", "stop": 1, "num": 3},
+    {"start": 0, "stop": math.nan, "num": 3},
+    {"start": 0, "stop": 1, "num": 3, "step": 1},
+)
 BAD_VALUES = {
     "n_particles": st.sampled_from([0, -3, 2.5, "4", True, None, [4]]),
-    "lambda_grid": st.sampled_from(
-        [*BAD_GRIDS, [-math.inf], {"start": 0, "stop": 1, "num": 0}, {"start": 0}]
-    ),
+    "lambda_grid": st.sampled_from([*BAD_GRIDS, [-math.inf], *BAD_LINSPACES]),
     "mode": st.sampled_from(["bogus", "Thermal", None, 3]),
     "noise_grid": st.sampled_from([*BAD_GRIDS, [-0.1]]),
     "k_fringe": st.sampled_from([0, -1.0, math.nan, math.inf, "1", True, None, [1.0]]),
@@ -647,7 +723,11 @@ def scan_configs(draw):
         "lambda_grid": grid(st.floats(-1e6, 1e6)),
         "mode": mode,
         "noise_axis": axis,
-        "noise_grid": grid(NOISE_VALUES[axis]),
+        "noise_grid": (
+            draw(st.sampled_from([[0], [0.0], [-0.0]]))
+            if mode == "ground_state"
+            else grid(NOISE_VALUES[axis])
+        ),
         "k_fringe": draw(st.floats(0.1, 10.0)),
         "seed": draw(st.integers(0, 2**31)),
         "outputs": draw(
@@ -656,14 +736,17 @@ def scan_configs(draw):
         "rotation": draw(st.sampled_from(["auto", "off"])),
         "mc": draw(st.none() | st.fixed_dictionaries({"nu": st.floats(0.1, 1.0)})),
     }
-    for key in ("k_fringe", "seed", "outputs", "rotation", "mc"):
+    optional = ["k_fringe", "seed", "outputs", "rotation", "mc"]
+    if mode == "ground_state":
+        optional.append("noise_grid")
+    for key in optional:
         if draw(st.booleans()):
             del config[key]  # the default is valid too
     fields = [*BAD_VALUES, "noise_axis", "extra", "missing"]
     bad = draw(st.none() | st.sampled_from(fields))
     if bad is None:
-        per_lambda = 1 if mode == "ground_state" else len(config["noise_grid"])
-        return config, len(config["lambda_grid"]) * per_lambda
+        rows = len(config["lambda_grid"]) * len(config.get("noise_grid", [0.0]))
+        return config, rows
     if bad == "noise_axis":
         others = [a for a in (*MODE_AXIS.values(), "bogus", None) if a != axis]
         config["noise_axis"] = draw(st.sampled_from(others))
@@ -671,6 +754,9 @@ def scan_configs(draw):
         config["bogus"] = 1
     elif bad == "missing":
         del config[draw(st.sampled_from(["n_particles", "lambda_grid"]))]
+    elif bad == "noise_grid" and mode == "ground_state" and draw(st.booleans()):
+        # a ground-state scan has no noise axis
+        config["noise_grid"] = draw(st.sampled_from([[0.5], [0.0, 0.0], [0.0, 1.0]]))
     elif bad == "noise_grid" and mode != "thermal" and draw(st.booleans()):
         config["noise_grid"] = [0.0, math.inf]  # T = inf is a temperature only
     else:
