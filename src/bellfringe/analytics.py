@@ -43,14 +43,6 @@ class SemiclassicalPrediction:
     b_param: float
 
 
-def _regime(lam: float) -> str:
-    if lam >= 0.0:
-        return "repulsive"
-    if lam > -1.0:
-        return "attractive_para"
-    return "attractive_ferro"
-
-
 def semiclassical_ab(lam: float) -> SemiclassicalPrediction:
     """Large-N closed forms for (xi^2, nu, a, b) in the three regimes."""
     if lam <= FERRO_EDGE:
@@ -59,14 +51,8 @@ def semiclassical_ab(lam: float) -> SemiclassicalPrediction:
         raise ValueError(
             f"lam = {lam} inside the breakdown window around the transition"
         )
-    regime = _regime(lam)
-    if regime == "repulsive":
-        xi2, nu = 1.0 / math.sqrt(1.0 + lam), 1.0
-    elif regime == "attractive_para":
-        xi2, nu = math.sqrt(1.0 + lam), 1.0
-    else:
-        xi2 = abs(lam) * math.sqrt(lam * lam - 1.0)
-        nu = 1.0 / abs(lam)
+    regime, xi2, _ = _branch(lam)
+    nu = 1.0 / abs(lam) if regime == "attractive_ferro" else 1.0
     return SemiclassicalPrediction(
         regime=regime,
         xi2=xi2,
@@ -76,24 +62,24 @@ def semiclassical_ab(lam: float) -> SemiclassicalPrediction:
     )
 
 
-def _branch(lam: float) -> tuple[float, float]:
-    """(zero-temperature xi^2, mode frequency) of the thermal formula."""
+def _branch(lam: float) -> tuple[str, float, float]:
+    """(regime, zero-temperature xi^2, mode frequency) of the closed forms."""
     if lam == -1.0:
         raise ValueError("lam = -1 lies on the branch boundary")
     if lam < -1.0:
         omega = math.sqrt(lam * lam - 1.0)
-        return abs(lam) * omega, omega
+        return "attractive_ferro", abs(lam) * omega, omega
     omega = math.sqrt(1.0 + lam)
     if lam < 0.0:
-        return omega, omega
-    return 1.0 / omega, omega
+        return "attractive_para", omega, omega
+    return "repulsive", 1.0 / omega, omega
 
 
 def thermal_xi2(lam: float, temperature: float) -> float:
     """Finite-temperature squeezing xi0^2 * coth(beta * omega / 2)."""
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    xi0, omega = _branch(lam)
+    _, xi0, omega = _branch(lam)
     if temperature == 0:
         return xi0
     return xi0 / math.tanh(0.5 * omega / temperature)
@@ -110,7 +96,7 @@ def analytic_boundary_temperature(lam: float) -> float:
     xi0^2 coth(omega / 2T) = 1/2 gives T* = omega / (2 artanh(2 xi0^2));
     requires the zero-temperature witness to be negative.
     """
-    xi0, omega = _branch(lam)
+    _, xi0, omega = _branch(lam)
     if xi0 >= 0.5:
         raise ValueError("witness is nonnegative already at T = 0")
     return omega / (2.0 * math.atanh(2.0 * xi0))
@@ -126,7 +112,7 @@ def analytic_boundary_sigma(lam: float, k_fringe: float) -> float:
     """
     if k_fringe <= 0:
         raise ValueError("k_fringe must be positive")
-    xi0, _ = _branch(lam)
+    _, xi0, _ = _branch(lam)
     if xi0 >= 0.5:
         raise ValueError("witness is nonnegative already at sigma = 0")
     if xi0 <= 0.25:

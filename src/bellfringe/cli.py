@@ -22,7 +22,10 @@ from .fringe_mc import (
     verify_sensitivity,
 )
 from .scan import (
+    MC_KEYS,
     ScanSpec,
+    _mc_settings,
+    _write_output,
     emit_outputs,
     extract_region_boundary,
     find_zero_crossings,
@@ -35,30 +38,24 @@ COMPUTE_ERROR = 2
 # argparse's own test misses exponents and reads a value such as -5.4e-05 as
 # an option flag
 NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-# the keys of an mc-verify config's "mc" block
-MC_KEYS = {"nu", "xi2", "phi", "k", "n_atoms", "n_periods", "seed", "n_shots"}
+
+
+def _load_config(path: str) -> dict:
+    """The JSON object of a config file."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {data!r}")
+    return data
 
 
 def _load_spec(path: str, no_rotation: bool, seed) -> ScanSpec:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_config(path)
     if no_rotation:
         data["rotation"] = "off"
     if seed is not None:
         data["seed"] = seed
     return ScanSpec.from_dict(data)
-
-
-def _load_mc(path: str) -> dict:
-    """The "mc" block of a config file; an absent or null block is empty."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"config must be a JSON object, got {data!r}")
-    mc = {} if data.get("mc") is None else data["mc"]
-    if not (isinstance(mc, dict) and mc.keys() <= MC_KEYS):
-        raise ValueError(f"mc must be an object with keys in {sorted(MC_KEYS)}, got {mc!r}")
-    return mc
 
 
 def _thread_count(args) -> int:
@@ -92,12 +89,8 @@ def cmd_crossings(args) -> int:
     evaluate = make_evaluator(spec, column=args.column)  # refuses before the scan
     rows = run_scan(spec, threads=_thread_count(args), cache_dir=args.cache)
     crossings = find_zero_crossings(rows, args.column, evaluate)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "crossings.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump({"column": args.column, "crossings": crossings}, fh, indent=2)
-        fh.write("\n")
-    print(path)
+    payload = {"column": args.column, "crossings": crossings}
+    print(_write_output(args.out, "crossings.json", payload))
     for lam in crossings:
         print(f"{args.column} = 0 at lambda = {lam:.6f}")
     return 0
@@ -107,29 +100,21 @@ def cmd_boundary(args) -> int:
     spec = _load_spec(args.config, args.no_rotation, args.seed)
     rows = run_scan(spec, threads=_thread_count(args), cache_dir=args.cache)
     boundary = extract_region_boundary(rows)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "boundary.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("lambda,noise_value\n")
-        for lam, noise in boundary:
-            fh.write(f"{lam:.17g},{noise:.17g}\n")
-    print(path)
+    text = "".join(f"{lam:.17g},{noise:.17g}\n" for lam, noise in boundary)
+    print(_write_output(args.out, "boundary.csv", "lambda,noise_value\n" + text))
     return 0
 
 
 def cmd_mc_verify(args) -> int:
-    mc = _load_mc(args.config) if args.config else {}
-    nu = mc.get("nu", args.nu)
-    xi2 = mc.get("xi2", args.xi2)
+    # each setting: its flag if given, else the config's "mc" block, else the default
+    mc = _mc_settings(_load_config(args.config).get("mc") if args.config else None)
+    flags = {key: getattr(args, key, None) for key in MC_KEYS}
+    mc.update({key: value for key, value in flags.items() if value is not None})
+    nu, xi2 = mc["nu"], mc["xi2"]
     params = FringeParams(
-        nu=nu,
-        phi=mc.get("phi", args.phi),
-        k=mc.get("k", 1.0),
-        n_atoms=mc.get("n_atoms", args.n_atoms),
-        n_periods=mc.get("n_periods", 8),
+        nu=nu, phi=mc["phi"], k=mc["k"], n_atoms=mc["n_atoms"], n_periods=mc["n_periods"]
     )
-    seed = args.seed if args.seed is not None else mc.get("seed", 0)
-    result = verify_sensitivity(params, xi2, mc.get("n_shots", args.n_shots), seed)
+    result = verify_sensitivity(params, xi2, mc["n_shots"], mc["seed"])
     ratio = result.empirical_variance / result.predicted_variance
     print(f"empirical variance : {result.empirical_variance:.6e}")
     print(f"predicted variance : {result.predicted_variance:.6e}")
@@ -183,12 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mc-verify", help="Monte-Carlo check of the sensitivity formula")
     p.add_argument("--config", default=None, help="JSON file with an 'mc' block")
-    p.add_argument("--nu", type=float, default=0.9)
-    p.add_argument("--xi2", type=float, default=1.0)
-    p.add_argument("--phi", type=float, default=0.0)
-    p.add_argument("--n-atoms", type=int, default=1000)
-    p.add_argument("--n-shots", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--nu", type=float)
+    p.add_argument("--xi2", type=float)
+    p.add_argument("--phi", type=float)
+    p.add_argument("--n-atoms", type=int)
+    p.add_argument("--n-shots", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_mc_verify)
 
     p = sub.add_parser("analytics", help="semiclassical predictions and thresholds")

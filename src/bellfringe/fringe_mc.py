@@ -16,11 +16,11 @@ Phys. 90, 035005 (2018)).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .spin_core import _is_integer
 from .witnesses import sensitivity
 
 __all__ = [
@@ -50,10 +50,6 @@ WHOLE_PERIODS_RTOL = 1e-9
 SHOT_CHUNK = 64
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class FringeParams:
     nu: float
@@ -71,7 +67,7 @@ class FringeParams:
             raise ValueError(f"k must be finite and positive, got {self.k!r}")
         for name in ("n_atoms", "n_periods"):
             value = getattr(self, name)
-            if not _is_count(value) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     @property
@@ -259,7 +255,7 @@ def verify_sensitivity(
     """
     if not 0.2 < params.nu < 0.98:
         raise ValueError("nu outside the fit-regime guard (0.2, 0.98)")
-    if not _is_count(n_shots) or n_shots < 1000:
+    if not _is_integer(n_shots) or n_shots < 1000:
         raise ValueError(f"n_shots must be an integer >= 1000, got {n_shots!r}")
 
     rng = np.random.default_rng(rng_seed)

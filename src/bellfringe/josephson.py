@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .spin_core import SpinState, StateEnsemble, build_basis
+from .spin_core import SpinState, StateEnsemble, _ladder_array, build_basis
 
 __all__ = [
     "ModelParams",
@@ -48,6 +48,9 @@ ORTHO_TOL = 1e-8
 # magnitude (see _fix_signs).
 SIGN_TIE_RTOL = 1e-8
 
+# eigh_tridiagonal selection of the lowest eigenpair only (LAPACK stebz)
+_LOWEST = dict(select="i", select_range=(0, 0), lapack_driver="stebz")
+
 
 class ConvergenceError(RuntimeError):
     """Eigensolver failed to meet the residual/orthonormality tolerances."""
@@ -72,22 +75,25 @@ class SymTridiag:
     offdiag: np.ndarray
 
     @property
-    def norm_estimate(self) -> float:
-        """Max row sum, an upper bound on the spectral norm."""
-        d, e = np.abs(self.diag), np.abs(self.offdiag)
-        row = d.copy()
+    def norm_estimate(self):
+        """Max row sum, an upper bound on the spectral norm: a float, or one
+        bound per column for a 2-D ``diag`` (one H per column)."""
+        row, e = np.abs(self.diag), np.abs(self.offdiag)
+        if row.ndim == 2:
+            e = e[:, None]
         row[:-1] += e
         row[1:] += e
-        return float(row.max())
+        return row.max(axis=0) if row.ndim == 2 else float(row.max())
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        w = self.diag[:, None] * v if v.ndim == 2 else self.diag * v
+        """H v for a vector or a block of columns; with a 2-D ``diag``,
+        column k of ``v`` meets the H of diag column k."""
+        d, e = self.diag, self.offdiag
         if v.ndim == 2:
-            w[:-1] += self.offdiag[:, None] * v[1:]
-            w[1:] += self.offdiag[:, None] * v[:-1]
-        else:
-            w[:-1] += self.offdiag * v[1:]
-            w[1:] += self.offdiag * v[:-1]
+            d, e = d.reshape(len(d), -1), e[:, None]
+        w = d * v
+        w[:-1] += e * v[1:]
+        w[1:] += e * v[:-1]
         return w
 
 
@@ -102,28 +108,20 @@ def build_hamiltonian(params: ModelParams) -> SymTridiag:
     """Tridiagonal matrix of the junction Hamiltonian in the Jz basis."""
     basis = build_basis(params.n_particles)
     m = basis.m_values
-    j = basis.j
     diag = (params.lam / params.n_particles) * m * m + params.delta * m
-    offdiag = -0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
-    return SymTridiag(diag, offdiag)
+    return SymTridiag(diag, -_ladder_array(basis))  # -Jx
 
 
-def _check_eigenpairs(diag, offdiag, energies, vectors, gram: bool = True):
+def _check_eigenpairs(h: SymTridiag, energies, vectors, gram: bool = True):
     """Residual and orthonormality guards, independent of the backend.
 
-    Column k is checked against H_k = tridiag(diag[:, k], offdiag) and its
-    own |H_k| bound (max row sum), or against the one H of a 1-D ``diag``.
-    Eigenvectors of one H must be orthonormal (``gram``); ground states of
-    different H need only unit norm.
+    Column k is checked against its H (column k of a 2-D ``h.diag``, else
+    the one H) and that H's |H| bound.  Eigenvectors of one H must be
+    orthonormal (``gram``); ground states of different H need only unit norm.
     """
-    d = diag.reshape(len(diag), -1)
-    e = offdiag[:, None]
-    resid = d * vectors - vectors * energies
-    resid[:-1] += e * vectors[1:]
-    resid[1:] += e * vectors[:-1]
-    # row i of |H| sums |d_i| and |e_{i-1}| + |e_i|
-    norm_h = (np.abs(d) + np.convolve(np.abs(offdiag), [1.0, 1.0])[:, None]).max(axis=0)
-    worst = (np.sqrt((resid * resid).sum(axis=0)) / np.maximum(norm_h, 1e-300)).max()
+    resid = h.matvec(vectors) - vectors * energies
+    norm_h = np.maximum(h.norm_estimate, 1e-300)
+    worst = (np.sqrt((resid * resid).sum(axis=0)) / norm_h).max()
     if not worst <= RESIDUAL_TOL:  # NaN fails too
         raise ConvergenceError(f"eigenpair residual {worst:.3e} |H| > {RESIDUAL_TOL} |H|")
     if gram:
@@ -187,9 +185,14 @@ def _unfold(vectors: np.ndarray, parity: float, n_particles: int) -> np.ndarray:
     return out
 
 
-def _normalize(vectors: np.ndarray) -> np.ndarray:
-    # the 1/sqrt(2) of _unfold leaves the norm a few ulp off 1
-    return vectors / np.sqrt((vectors * vectors).sum(axis=0))
+def _checked(h: SymTridiag, energies, vectors, unfolded, gram: bool = True):
+    """``(energies, vectors)`` after ``_check_eigenpairs`` against ``h``.  The
+    columns at index ``unfolded`` are then renormalized (the 1/sqrt(2) of
+    ``_unfold`` leaves their norm a few ulp off 1), and every column gets
+    the ``_fix_signs`` convention."""
+    _check_eigenpairs(h, energies, vectors, gram)
+    vectors[:, unfolded] /= np.sqrt((vectors[:, unfolded] ** 2).sum(axis=0))
+    return energies, _fix_signs(vectors)
 
 
 def _eigh(diag: np.ndarray, offdiag: np.ndarray, **select):
@@ -207,17 +210,14 @@ def _solve(h: SymTridiag, zero_tilt: bool, **select) -> tuple[np.ndarray, np.nda
     against the full H before they are renormalized.
     """
     if not zero_tilt:
-        energies, vectors = _eigh(h.diag, h.offdiag, **select)
-        _check_eigenpairs(h.diag, h.offdiag, energies, vectors)
-        return energies, _fix_signs(vectors)
+        return _checked(h, *_eigh(h.diag, h.offdiag, **select), slice(0))
     n = len(h.diag) - 1
     pairs = [_eigh(diag, offdiag, **select) for diag, offdiag in _fold(h)]
     energies = np.concatenate([w for w, _ in pairs])
     vectors = np.hstack([_unfold(v, p, n) for (_, v), p in zip(pairs, (1.0, -1.0))])
     order = np.argsort(energies, kind="stable")
-    energies, vectors = energies[order], vectors[:, order]
-    _check_eigenpairs(h.diag, h.offdiag, energies, vectors)
-    return energies, _fix_signs(_normalize(vectors))
+    energies, vectors = energies[order], vectors[:, order]  # frees the unsorted block
+    return _checked(h, energies, vectors, slice(None))
 
 
 def ground_states(n_particles: int, lam: float, tilts) -> tuple[np.ndarray, np.ndarray]:
@@ -238,9 +238,7 @@ def ground_states(n_particles: int, lam: float, tilts) -> tuple[np.ndarray, np.n
         raise ValueError("lam and every tilt must give a finite Hamiltonian")
     zero = tilts == 0
     even = _fold(h0)[0]
-    lowest = dict(
-        select="i", select_range=(0, 0), lapack_driver="stebz", check_finite=False
-    )
+    lowest = dict(_LOWEST, check_finite=False)
     energies = np.empty(len(tilts))
     vectors = np.empty((n_particles + 1, len(tilts)), order="F")
     for k, diag in enumerate(diags):
@@ -249,9 +247,7 @@ def ground_states(n_particles: int, lam: float, tilts) -> tuple[np.ndarray, np.n
             vectors[:, k:k + 1] = _unfold(block, 1.0, n_particles)
         else:
             energies[k:k + 1], vectors[:, k:k + 1] = _eigh(diag, h0.offdiag, **lowest)
-    _check_eigenpairs(diags.T, h0.offdiag, energies, vectors, gram=False)
-    vectors[:, zero] = _normalize(vectors[:, zero])
-    return energies, _fix_signs(vectors)
+    return _checked(SymTridiag(diags.T, h0.offdiag), energies, vectors, zero, gram=False)
 
 
 def ground_state(params: ModelParams) -> tuple[float, SpinState]:
@@ -303,10 +299,7 @@ def low_spectrum(params: ModelParams, energy_window: float):
     h = build_hamiltonian(params)
     zero_tilt = params.delta == 0
     lowest = _fold(h)[0] if zero_tilt else (h.diag, h.offdiag)
-    e0 = eigh_tridiagonal(
-        *lowest, eigvals_only=True, select="i", select_range=(0, 0),
-        lapack_driver="stebz",
-    )[0]
+    e0 = _eigh(*lowest, eigvals_only=True, **_LOWEST)[0]
     # drivers round E0 apart by far less than the residual tolerance; the
     # margin keeps the ground state inside even a zero-width window
     margin = RESIDUAL_TOL * h.norm_estimate
@@ -317,8 +310,10 @@ def low_spectrum(params: ModelParams, energy_window: float):
 
 
 def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:
-    """Unit-sum weights exp(-(E_n - E0) / T) of ascending energies, T > 0."""
-    weights = np.exp(-(energies - energies[0]) / temperature)
+    """Unit-sum weights exp(-(E_n - E0) / T) of ascending energies, T > 0.
+    Over a subnormal T a gap may overflow to inf: its weight is the exact 0."""
+    with np.errstate(over="ignore"):
+        weights = np.exp(-(energies - energies[0]) / temperature)
     return weights / weights.sum()
 
 

@@ -143,9 +143,8 @@ def delta_mixture(
     order cap raises ConvergenceError.
     """
     level = _converged_level(n_particles, lam, sigma_delta, order, check)
-    if level is None:
-        _, gs = ground_state(ModelParams(n_particles, lam, 0.0))
-        return StateEnsemble((gs,), np.array([1.0]))
+    if level is None:  # the pure ground state
+        return thermal_ensemble(ModelParams(n_particles, lam, 0.0), 0.0)
     rule, vectors, _ = level
     # rows: the mirrored states at the negative nodes, then the positive ones
     rows = np.vstack([vectors.T[::-1, ::-1], vectors.T])

@@ -34,7 +34,7 @@ from .josephson import (
     low_spectrum,
 )
 from .noise import blur_visibility, delta_mixture_moments
-from .spin_core import Moments, build_basis, compute_moments, moment_table
+from .spin_core import Moments, _is_integer, build_basis, compute_moments, moment_table
 from .spin_core import rotate_pi2_about_x
 from .witnesses import VisibilityError, build_report, phase_squeezing, visibility
 from .witnesses import report_from_moments
@@ -91,6 +91,14 @@ class ScanRow:
     error: str = ""
 
 
+# the "mc" block of a config, read by mc-verify: its keys and their defaults
+MC_DEFAULTS = {
+    "nu": 0.9, "xi2": 1.0, "phi": 0.0, "k": 1.0,
+    "n_atoms": 1000, "n_periods": 8, "seed": 0, "n_shots": 10000,
+}
+MC_KEYS = frozenset(MC_DEFAULTS)
+
+
 @dataclass(frozen=True)
 class ScanSpec:
     n_particles: int
@@ -130,22 +138,18 @@ class ScanSpec:
             )
         if not (_is_real(self.k_fringe) and 0 < self.k_fringe < math.inf):
             raise ValueError("k_fringe must be positive and finite")
-        if list(self.lambda_grid) != sorted(self.lambda_grid) or list(
-            self.noise_grid
-        ) != sorted(self.noise_grid):
+        if any(list(grid) != sorted(grid) for grid in (self.lambda_grid, self.noise_grid)):
             raise ValueError("grids must be monotone increasing")
         if self.rotation not in ("auto", "off"):
             raise ValueError("rotation must be 'auto' or 'off'")
         if not all(name in ("csv", "json") for name in self.outputs):
             raise ValueError(f"outputs must name 'csv' or 'json', got {self.outputs!r}")
-        if not (self.mc is None or isinstance(self.mc, dict)):
-            raise ValueError(f"mc must be an object, got {self.mc!r}")
-        if self.mode == "ground_state":
-            if tuple(self.noise_grid) != (0.0,):
-                raise ValueError(
-                    f"ground_state noise_grid must be [0], got {self.noise_grid!r}"
-                )
-            object.__setattr__(self, "noise_grid", (0.0,))  # [0] and [-0.0] alike
+        _mc_settings(self.mc)
+        if self.mode == "ground_state" and tuple(self.noise_grid) != (0.0,):
+            raise ValueError(f"ground_state noise_grid must be [0], got {self.noise_grid}")
+        for name in ("lambda_grid", "noise_grid"):  # -0.0 and 0 are one point, written 0
+            grid = tuple(float(v) + 0.0 for v in getattr(self, name))
+            object.__setattr__(self, name, grid)
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -162,8 +166,11 @@ class ScanSpec:
         return cls(**data)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _mc_settings(mc) -> dict:
+    """``MC_DEFAULTS`` updated by an "mc" block; None is an empty block."""
+    if not (mc is None or isinstance(mc, dict) and mc.keys() <= MC_KEYS):
+        raise ValueError(f"mc must be an object with keys {sorted(MC_KEYS)}, got {mc!r}")
+    return {**MC_DEFAULTS, **(mc or {})}
 
 
 def _is_real(value) -> bool:
@@ -185,7 +192,7 @@ def _expand_grid(grid):
         grid = np.linspace(grid["start"], grid["stop"], grid["num"])
     elif isinstance(grid, str) or not all(_is_real(x) for x in grid):
         raise ValueError(f"grid values must be numbers, got {grid!r}")
-    return [float(x) for x in grid]
+    return grid  # ScanSpec makes every value a float
 
 
 def _thermal_table(params: ModelParams, energy_window: float):
@@ -331,18 +338,25 @@ def make_evaluator(spec: ScanSpec, column: str = "b_param"):
     return evaluate
 
 
+def _sign_changes(rows, column: str):
+    """Adjacent pairs ``(left, right)`` of ``rows`` across which ``column``
+    changes sign; ``right`` is None where ``left`` itself is an exact zero."""
+    for left, right in zip(rows[:-1], rows[1:]):
+        v1, v2 = getattr(left, column), getattr(right, column)
+        if v1 == 0.0:
+            yield left, None
+        elif v1 * v2 < 0:
+            yield left, right
+
+
 def find_zero_crossings(rows, column: str, evaluate) -> list:
     """Refine sign changes of ``column`` along lambda by bisection on fresh
     model evaluations, to ``CROSSING_TOL``; returns the crossing abscissas.
     The rows are one per lambda, as a one-noise-value scan gives them."""
-    clean = [r for r in rows if not r.error]
     crossings = []
-    for left, right in zip(clean[:-1], clean[1:]):
-        v1, v2 = getattr(left, column), getattr(right, column)
-        if v1 == 0.0:
+    for left, right in _sign_changes([r for r in rows if not r.error], column):
+        if right is None:
             crossings.append(left.lam)
-            continue
-        if v1 * v2 >= 0:
             continue
         lo, hi = left.lam, right.lam
         flo = evaluate(lo)
@@ -362,27 +376,24 @@ def find_zero_crossings(rows, column: str, evaluate) -> list:
 
 def extract_region_boundary(rows) -> list:
     """For each lambda column of a rectangular (lambda, noise) grid, the
-    noise value where b changes sign, linearly interpolated; columns with no
-    sign change are skipped.  Returns (lambda, noise*) pairs."""
+    noise value where b first changes sign, linearly interpolated; columns
+    with no sign change are skipped.  Returns (lambda, noise*) pairs."""
     by_lambda = {}
     for row in rows:
         by_lambda.setdefault(row.lam, []).append(row)
     boundary = []
     for lam, column in by_lambda.items():
-        column = sorted(
-            (r for r in column if not r.error), key=lambda r: r.noise_value
-        )
-        for lo, hi in zip(column[:-1], column[1:]):
-            b1, b2 = lo.b_param, hi.b_param
-            if b1 == 0.0:
+        # a stable sort: a grid may repeat a noise value
+        column = sorted((r for r in column if not r.error), key=lambda r: r.noise_value)
+        for lo, hi in _sign_changes(column, "b_param"):
+            if hi is None:
                 boundary.append((lam, lo.noise_value))
-                break
-            if b1 * b2 < 0:
-                frac = -b1 / (b2 - b1)
+            else:
+                frac = -lo.b_param / (hi.b_param - lo.b_param)
                 boundary.append(
                     (lam, lo.noise_value + frac * (hi.noise_value - lo.noise_value))
                 )
-                break
+            break
     return boundary
 
 
@@ -410,26 +421,31 @@ def _row_dict(r: ScanRow) -> dict:
     return {k: None if v != v else v for k, v in row.items()}  # NaN -> null
 
 
+def _write_output(out_dir: str, name: str, content) -> str:
+    """Write one output file, LF line ends: ``content`` is its text, or a
+    payload written as sorted, indented JSON.  Returns the file's path."""
+    if not isinstance(content, str):
+        content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(content)
+    return path
+
+
 def emit_outputs(rows, spec: ScanSpec, out_dir: str) -> list:
     """Write CSV and/or JSON mirrors of the scan; byte-identical for a fixed
     spec and seed."""
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)  # also when the spec asks for no output
     paths = []
     if "csv" in spec.outputs:
-        path = os.path.join(out_dir, "scan.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(rows_to_csv(rows))
-        paths.append(path)
+        paths.append(_write_output(out_dir, "scan.csv", rows_to_csv(rows)))
     if "json" in spec.outputs:
-        path = os.path.join(out_dir, "scan.json")
         payload = {
             "spec": spec.to_dict(),
             "seed": spec.seed,
             "library_version": __version__,
             "rows": [_row_dict(r) for r in rows],
         }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths.append(path)
+        paths.append(_write_output(out_dir, "scan.json", payload))
     return paths

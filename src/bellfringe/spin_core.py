@@ -8,6 +8,7 @@ Hamiltonian is real symmetric in the Jz eigenbasis.  With real coefficients
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,9 +86,14 @@ class Moments:
     jz2: float
 
 
+def _is_integer(value) -> bool:
+    """An integral number that is not a bool (the rule for every count)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def build_basis(n_particles: int) -> DickeBasis:
     """Dicke ladder for ``n_particles`` bosons: j = N/2, m = -j, ..., +j."""
-    if not isinstance(n_particles, (int, np.integer)) or isinstance(n_particles, bool):
+    if not _is_integer(n_particles):
         raise TypeError("particle count must be an integer")
     if n_particles < 1:
         raise ValueError("particle count must be >= 1")

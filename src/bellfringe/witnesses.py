@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-10
-# minimize_bell_direct: coarse theta grid, then golden section to this width
+# minimize_bell_direct: coarse theta grid, then bounded Brent to this width
 BELL_GRID_POINTS = 1024
 BELL_THETA_TOL = 1e-10
 # Rounding excess of 2|<Jx>|/N over 1 that still counts as nu = 1: 32 ulp of
@@ -66,30 +66,23 @@ def phase_squeezing(moments: Moments, n_particles: int) -> float:
 def sensitivity(xi2: float, nu: float, n_particles: int) -> float:
     """Phase variance of the least-squares fringe fit:
     (xi^2 + sqrt(1-nu^2)/nu^2) / N."""
-    _require_visibility(nu)
-    return (xi2 + math.sqrt(max(1.0 - nu * nu, 0.0)) / nu ** 2) / n_particles
+    return (xi2 + _fringe_root(nu) / nu ** 2) / n_particles
 
 
 def param_a(xi2: float, nu: float) -> float:
     """a = N var(phi_est) - 1; negative iff the sensitivity beats shot noise."""
-    _require_visibility(nu)
-    s = math.sqrt(max(1.0 - nu * nu, 0.0))
-    return xi2 + (s - nu * nu) / nu ** 2
+    return xi2 + (_fringe_root(nu) - nu * nu) / nu ** 2
 
 
 def bell_witness(xi2: float, nu: float) -> float:
     """b = xi^2 + (sqrt(1-nu^2) - 1) / (2 nu^2); negative witnesses Bell
     correlations."""
-    _require_visibility(nu)
-    s = math.sqrt(max(1.0 - nu * nu, 0.0))
-    return xi2 + (s - 1.0) / (2.0 * nu ** 2)
+    return xi2 + (_fringe_root(nu) - 1.0) / (2.0 * nu ** 2)
 
 
 def fringe_factor(nu: float) -> float:
     """f(nu) = 1 - (sqrt(1-nu^2) + 1) / (2 nu^2), linking b = a + f(nu)."""
-    _require_visibility(nu)
-    s = math.sqrt(max(1.0 - nu * nu, 0.0))
-    return 1.0 - (s + 1.0) / (2.0 * nu ** 2)
+    return 1.0 - (_fringe_root(nu) + 1.0) / (2.0 * nu ** 2)
 
 
 def bell_theta(n_particles: int, jx: float, jy2: float, theta) -> float:
@@ -118,36 +111,24 @@ def optimal_theta(nu: float, xi2: float) -> tuple[float, bool]:
 def minimize_bell_direct(n_particles: int, moments: Moments) -> tuple[float, float]:
     """Numerical minimum of bell_theta over theta in [0, pi].
 
-    Coarse grid scan followed by golden-section refinement of the bracketing
+    Coarse grid scan followed by bounded Brent refinement of the bracketing
     interval.  Returns (theta_star, b_min).  |<Jx>| is read as at most N/2
     by the rule of ``visibility``, so rounding cannot push b_min below zero
     for a coherent state.
     """
+    # imported here: scipy.optimize costs every CLI run ~20 MB and ~0.1 s
+    from scipy.optimize import minimize_scalar
+
     visibility(moments, n_particles)  # raises beyond the rounding slack
     jx = math.copysign(min(abs(moments.jx), 0.5 * n_particles), moments.jx)
     jy2 = moments.jy2
     thetas = np.linspace(0.0, math.pi, BELL_GRID_POINTS)
-    values = bell_theta(n_particles, jx, jy2, thetas)
-    i = int(np.argmin(values))
-    lo = thetas[max(i - 1, 0)]
-    hi = thetas[min(i + 1, BELL_GRID_POINTS - 1)]
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = bell_theta(n_particles, jx, jy2, x1)
-    f2 = bell_theta(n_particles, jx, jy2, x2)
-    while b - a > BELL_THETA_TOL:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = bell_theta(n_particles, jx, jy2, x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = bell_theta(n_particles, jx, jy2, x2)
-    theta_star = 0.5 * (a + b)
+    i = int(np.argmin(bell_theta(n_particles, jx, jy2, thetas)))
+    bracket = (thetas[max(i - 1, 0)], thetas[min(i + 1, BELL_GRID_POINTS - 1)])
+    theta_star = float(minimize_scalar(
+        lambda theta: bell_theta(n_particles, jx, jy2, theta),
+        bounds=bracket, method="bounded", options={"xatol": BELL_THETA_TOL},
+    ).x)
     return theta_star, bell_theta(n_particles, jx, jy2, theta_star)
 
 
@@ -166,8 +147,7 @@ class WitnessReport:
     rotated: bool
 
     def __post_init__(self):
-        if not 0.0 < self.nu <= 1.0:
-            raise VisibilityError(f"nu = {self.nu!r} outside (0, 1]")
+        _require_visibility(self.nu)
         if abs(self.b_param - self.a_param - fringe_factor(self.nu)) > IDENTITY_TOL:
             raise ValueError("witness/sensitivity identity violated")
         if abs(self.var_phi - (self.a_param + 1.0) / self.n_particles) > 1e-12:
@@ -212,3 +192,9 @@ def report_from_moments(
 def _require_visibility(nu: float):
     if not 0.0 < nu <= 1.0:
         raise VisibilityError(f"nu = {nu!r} outside (0, 1]")
+
+
+def _fringe_root(nu: float) -> float:
+    """sqrt(1 - nu^2) of a visibility nu in (0, 1], VisibilityError otherwise."""
+    _require_visibility(nu)
+    return math.sqrt(max(1.0 - nu * nu, 0.0))

@@ -52,6 +52,11 @@ class TestSemiclassical:
         assert pred.nu == pytest.approx(1.0 / 1.3, abs=1e-14)
         assert pred.xi2 == pytest.approx(1.3 * math.sqrt(1.69 - 1.0), abs=1e-13)
 
+    @pytest.mark.parametrize("lam", [-1.5, -1.3, -0.9, -0.5, 0.0, 8.0])
+    def test_xi2_is_the_zero_temperature_formula(self, lam):
+        # one closed form per regime: both read it, bit for bit
+        assert semiclassical_ab(lam).xi2 == thermal_xi2(lam, 0.0)
+
     @pytest.mark.parametrize("lam", [-1.0, -0.999, -1.015])
     def test_breakdown_window(self, lam):
         with pytest.raises(ValueError, match="breakdown"):

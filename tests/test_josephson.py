@@ -28,7 +28,9 @@ from bellfringe.josephson import (
     FULL_SPECTRUM_CAP,
     RESIDUAL_TOL,
     SIGN_TIE_RTOL,
+    SymTridiag,
     _fix_signs,
+    boltzmann_weights,
 )
 
 from oracles import dense_hamiltonian, dense_moments
@@ -58,6 +60,31 @@ class TestBuildHamiltonian:
             ModelParams(0, 1.0, 0.0)
         with pytest.raises(ValueError):
             ModelParams(5, math.inf, 0.0)
+
+
+class TestSymTridiag:
+    def block(self):
+        """Three Hamiltonians sharing an off-diagonal: one diagonal per column."""
+        h0 = build_hamiltonian(ModelParams(7, -1.2, 0.0))
+        tilts = np.array([0.0, 0.3, -2.0])
+        m = build_basis(7).m_values
+        return h0, SymTridiag(h0.diag[:, None] + m[:, None] * tilts, h0.offdiag), tilts
+
+    def test_two_dimensional_diag_is_one_h_per_column(self):
+        h0, block, tilts = self.block()
+        v = np.random.default_rng(1).normal(size=(8, 3))
+        dense = [dense_hamiltonian(7, -1.2, t) for t in tilts]
+        want = np.column_stack([hk @ v[:, k] for k, hk in enumerate(dense)])
+        assert np.allclose(block.matvec(v), want, rtol=0, atol=1e-13)
+        bounds = [np.abs(hk).sum(axis=1).max() for hk in dense]
+        assert np.allclose(block.norm_estimate, bounds, rtol=1e-15, atol=0)
+        # the one H of a 1-D diagonal acts on a vector and on a block alike
+        assert np.array_equal(h0.matvec(v)[:, 1], h0.matvec(v[:, 1]))
+
+    def test_norm_estimate_of_one_h_is_a_float(self):
+        h0, block, _ = self.block()
+        assert type(h0.norm_estimate) is float
+        assert h0.norm_estimate == block.norm_estimate[0]
 
 
 class TestGroundState:
@@ -404,6 +431,14 @@ class TestThermalEnsemble:
     def test_rejects_negative_temperature(self):
         with pytest.raises(ValueError):
             thermal_ensemble(ModelParams(10, 0.0, 0.0), -0.1)
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-310])
+    def test_subnormal_temperature_weights(self, t):
+        # every gap over T overflows to inf, whose weight is the exact 0;
+        # a RuntimeWarning would fail the test
+        energies = np.array([-3.0, -3.0, -1.5, 2.0])
+        assert boltzmann_weights(energies, t).tolist() == [0.5, 0.5, 0.0, 0.0]
+        assert boltzmann_weights(energies[1:], t).tolist() == [1.0, 0.0, 0.0]
 
     def test_matches_closed_form_squeezing(self):
         # N = 1000, lam = -0.5, T = 1 against the coth formula (5% band)

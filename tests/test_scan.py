@@ -2,12 +2,15 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bellfringe
 from bellfringe import (
     ModelParams,
     QuadratureRule,
@@ -32,6 +35,7 @@ from bellfringe.cli import main as cli_main
 from bellfringe.scan import (
     CSV_HEADER,
     FLOOR_ERROR,
+    MC_DEFAULTS,
     MODE_AXIS,
     MODES,
     SpectrumCache,
@@ -253,6 +257,23 @@ class TestRunScan:
                     getattr(want, name), rel=1e-12, abs=1e-12, nan_ok=True
                 ), (row.lam, name)
 
+    def test_subnormal_temperature_is_the_zero_temperature_limit(self):
+        # (E - E0) / T overflows to inf for a subnormal T: each gap's weight
+        # is the exact 0, without a RuntimeWarning (raised as an error here)
+        temps = (0.0, 5e-324, 1e-310, 1e-300, 1.0)
+        rows = run_scan(thermal_spec(1000, (-1.3, -0.9, 0.5), temps))
+        assert not any(r.error for r in rows)
+
+        def values(row):
+            return [v for k, v in vars(row).items() if k != "noise_value"]
+
+        for column in (rows[0:5], rows[5:10], rows[10:15]):
+            cold, tiny, tinier, small, _ = column
+            # at lambda = -1.3 the ground doublet is degenerate to rounding,
+            # so every T > 0 mixes both members: compare with T = 1e-300
+            want = small if column[0].lam == -1.3 else cold
+            assert values(tiny) == values(tinier) == values(want)
+
     @pytest.mark.parametrize("n", [12, 40])
     def test_thermal_rows_match_dense_boltzmann(self, n):
         lams, temps = (-1.2, -0.9, 0.5, 8.0), (0.0, 0.3, 2.0, math.inf)
@@ -381,6 +402,26 @@ class TestCrossingsAndBoundary:
         boundary = extract_region_boundary(rows)
         assert boundary == [(1.0, 0.5), (2.0, 0.25)]
 
+    def test_exact_zero_at_a_grid_point(self):
+        def never(lam):
+            raise AssertionError("an exact zero needs no bisection")
+
+        rows = [ScanRow(lam=float(k), noise_value=0.0, b_param=b)
+                for k, b in enumerate([-1.0, 0.0, 1.0, 0.0])]
+        assert find_zero_crossings(rows, "b_param", never) == [1.0]
+        column = [ScanRow(lam=2.0, noise_value=r.lam / 2, b_param=r.b_param) for r in rows]
+        assert extract_region_boundary(column) == [(2.0, 0.5)]
+
+    def test_boundary_keeps_grid_order_of_repeated_noise_values(self):
+        # a stable sort by noise value: the rows at 0.5 keep their order
+        rows = [
+            ScanRow(lam=1.0, noise_value=1.0, b_param=2.0),
+            ScanRow(lam=1.0, noise_value=0.0, b_param=-2.0),
+            ScanRow(lam=1.0, noise_value=0.5, b_param=-1.0),
+            ScanRow(lam=1.0, noise_value=0.5, b_param=1.0),
+        ]
+        assert extract_region_boundary(rows) == [(1.0, 0.5)]
+
     def test_boundary_on_blur_scan(self):
         spec = ScanSpec(
             n_particles=200,
@@ -502,6 +543,26 @@ class TestCli:
         # no -0 noise value from [-0.0]: every spelling writes the same bytes
         assert outputs[1:] == [outputs[0]] * 3
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"n_particles": 20, "lambda_grid": [-0.0, 1.0]},
+            {"n_particles": 20, "lambda_grid": [-0.9], "mode": "thermal",
+             "noise_axis": "temperature", "noise_grid": [-0.0, 1.0]},
+        ],
+        ids=["lambda_grid", "noise_grid"],
+    )
+    def test_negative_zero_is_written_as_zero(self, tmp_path, config):
+        outputs = []
+        positive = json.loads(json.dumps(config).replace("-0.0", "0.0"))
+        for k, spelling in enumerate([config, positive]):
+            cfg = self.write_config(tmp_path, spelling)
+            out = tmp_path / f"out{k}"
+            assert cli_main(["scan", "--config", cfg, "--out", str(out)]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("scan.csv", "scan.json")])
+        assert b"-0," not in outputs[0][0] and b"-0.0" not in outputs[0][1]
+        assert outputs[0] == outputs[1]
+
     def test_boundary_command(self, tmp_path):
         cfg = self.write_config(
             tmp_path,
@@ -578,6 +639,54 @@ class TestCli:
         assert cli_main(["mc-verify", "--config", cfg, "--n-atoms", "200"]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    def test_mc_verify_flag_beats_config(self, tmp_path, capsys):
+        cfg = self.write_config(
+            tmp_path, {"mc": {"nu": 0.9, "n_atoms": 500, "n_shots": 1000}}
+        )
+        assert cli_main(["mc-verify", "--config", cfg, "--nu", "0.5", "--seed", "3"]) == 0
+        mixed = capsys.readouterr().out
+        argv = ["mc-verify", "--nu", "0.5", "--n-atoms", "500", "--n-shots", "1000"]
+        assert cli_main([*argv, "--seed", "3"]) == 0
+        assert mixed == capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, key, in_config, on_flag",
+        [
+            ("--nu", "nu", 0.7, 0.5),
+            ("--xi2", "xi2", 0.5, 2.0),
+            ("--phi", "phi", 0.3, -0.2),
+            ("--n-atoms", "n_atoms", 300, 200),
+            ("--n-shots", "n_shots", 1200, 1000),
+            ("--seed", "seed", 5, 3),
+        ],
+    )
+    def test_mc_verify_precedence(
+        self, tmp_path, monkeypatch, flag, key, in_config, on_flag
+    ):
+        # every setting: its flag if given, else the config's mc block, else the default
+        seen, original = [], cli.verify_sensitivity
+
+        def spy(params, xi2, n_shots, seed):
+            seen.append({**vars(params), "xi2": xi2, "n_shots": n_shots, "seed": seed})
+            return original(params, xi2, n_shots, seed)
+
+        monkeypatch.setattr(cli, "verify_sensitivity", spy)
+        small = {"n_atoms": 200, "n_shots": 1000}
+        cfg = self.write_config(tmp_path, {"mc": {**small, key: in_config}})
+        assert cli_main(["mc-verify", "--config", cfg, flag, str(on_flag)]) == 0
+        assert cli_main(["mc-verify", "--config", cfg]) == 0
+        assert cli_main(["mc-verify", "--config", self.write_config(tmp_path, {})]) == 0
+        assert [s[key] for s in seen] == [on_flag, in_config, MC_DEFAULTS[key]]
+
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        # scipy.optimize costs every CLI run ~20 MB; only minimize_bell_direct needs it
+        src = os.path.dirname(os.path.dirname(bellfringe.__file__))
+        code = "import sys, bellfringe.cli; print('scipy.optimize' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_analytics_command(self, capsys):
         rc = cli_main(["analytics", "--lam", "8.0", "--lam", "-0.5"])
         assert rc == 0
@@ -616,6 +725,7 @@ class TestCli:
             {"k_fringe": True},
             {"lambda_grid": "12"},
             {"mc": "x"},
+            {"mc": {"n_shot": 1000}},
             {"n_particles": 10, "lambda_grid": [0.5], "noise_grid": [0.5, 2.0]},
             {"lambda_grid": {"start": True, "stop": 2, "num": True}},
             {"lambda_grid": {"start": 0, "stop": 1, "num": 2.0}},
@@ -637,6 +747,7 @@ class TestCli:
             "bool_k",
             "string_grid",
             "string_mc",
+            "unknown_mc_key",
             "ground_noise_grid",
             "bool_linspace",
             "float_num",
@@ -704,7 +815,7 @@ BAD_VALUES = {
     "seed": st.sampled_from([1.5, "x", True, None, [0]]),
     "outputs": st.sampled_from(["csv", ["xml"], ["csv", "xml"], 5, None, [["csv"]]]),
     "rotation": st.sampled_from(["on", "AUTO", None, True]),
-    "mc": st.sampled_from(["x", [1], 3, True]),
+    "mc": st.sampled_from(["x", [1], 3, True, {"n_shot": 1000}]),
 }
 
 
@@ -759,6 +870,9 @@ def scan_configs(draw):
         config["noise_grid"] = draw(st.sampled_from([[0.5], [0.0, 0.0], [0.0, 1.0]]))
     elif bad == "noise_grid" and mode != "thermal" and draw(st.booleans()):
         config["noise_grid"] = [0.0, math.inf]  # T = inf is a temperature only
+    elif bad == "noise_grid" and mode == "thermal":
+        # [inf] is a valid temperature grid: it is bad in the other modes only
+        config["noise_grid"] = draw(BAD_VALUES[bad].filter(lambda g: g != [math.inf]))
     else:
         config[bad] = draw(BAD_VALUES[bad])
     return config, None
