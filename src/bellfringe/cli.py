@@ -16,7 +16,6 @@ import sys
 
 from .analytics import bell_thresholds, semiclassical_ab
 from .fringe_mc import (
-    FringeParams,
     cramer_rao_variance,
     least_squares_variance,
     verify_sensitivity,
@@ -107,13 +106,10 @@ def cmd_boundary(args) -> int:
 
 def cmd_mc_verify(args) -> int:
     # each setting: its flag if given, else the config's "mc" block, else the default
-    mc = _mc_settings(_load_config(args.config).get("mc") if args.config else None)
+    block = _load_config(args.config).get("mc") if args.config else None
     flags = {key: getattr(args, key, None) for key in MC_KEYS}
-    mc.update({key: value for key, value in flags.items() if value is not None})
+    mc, params = _mc_settings(block, flags)
     nu, xi2 = mc["nu"], mc["xi2"]
-    params = FringeParams(
-        nu=nu, phi=mc["phi"], k=mc["k"], n_atoms=mc["n_atoms"], n_periods=mc["n_periods"]
-    )
     result = verify_sensitivity(params, xi2, mc["n_shots"], mc["seed"])
     ratio = result.empirical_variance / result.predicted_variance
     print(f"empirical variance : {result.empirical_variance:.6e}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spin_core import _is_integer
-from .witnesses import sensitivity
+from .witnesses import _require_nu_range, sensitivity
 
 __all__ = [
     "FringeParams",
@@ -59,8 +59,7 @@ class FringeParams:
     n_periods: int = 8
 
     def __post_init__(self):
-        if not 0.0 <= self.nu <= 1.0:
-            raise ValueError("nu must lie in [0, 1]")
+        _require_nu_range(self.nu)
         if not math.isfinite(self.phi):
             raise ValueError(f"phi must be finite, got {self.phi!r}")
         if not (math.isfinite(self.k) and self.k > 0):
@@ -95,8 +94,7 @@ class SensitivityResult:
 
 def density(x, nu: float, phi: float, k: float):
     """One-body fringe density 1 + nu cos(kx + phi) (mean 1 per period)."""
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError("nu must lie in [0, 1]")
+    _require_nu_range(nu)
     return 1.0 + nu * np.cos(k * np.asarray(x) + phi)
 
 

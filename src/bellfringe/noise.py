@@ -1,18 +1,20 @@
 """Noise channels: tilt fluctuations, finite temperature, detector blur.
 
 Gaussian shot-to-shot fluctuations of the well imbalance delta turn the
-ground state into a mixture of tilted ground states.  The Gaussian weight
-is discretized by a quadrature split at delta = 0: on the attractive side
-the ground state crosses over abruptly between the two wells around zero
-tilt, so moments are effectively discontinuous there and a global rule
-(Gauss-Hermite) converges only at first order.  Gauss-Legendre panels on
-each half-axis with Gaussian weights restore spectral convergence; a
-node-doubling check guards every mixture.  Each level solves its
-positive-tilt ground states as one checked block and reduces it to a K x 6
-moment table; the mirrored half follows in closed form, since parity flips
-<Jz> and keeps the other moments.  Finite detector resolution acts
-on the fitted density only, multiplying the visibility by exp(-k^2 s^2 / 2)
-while leaving the squeezing of the source state untouched.
+ground state into a mixture of tilted ground states.  On the attractive
+side the ground state crosses over abruptly between the wells around zero
+tilt, a boundary layer on which global rules and Gauss-Legendre panels
+converge only algebraically.  So the mixture is split at delta = 0, and each
+half-axis [0, L] gets a tanh-sinh panel x = L / (1 + exp(-pi sinh t)), t
+equispaced on [-3, 3], whose nodes crowd double-exponentially into its ends
+(Takahasi & Mori, Publ. RIMS 9, 721 (1974)).  The sigma_delta of a lambda
+column share one panel, L = GAUSSIAN_SPAN * the widest (down to a thousandth
+of it): its ground states are solved once into a K x 6 moment table, which
+each sigma_delta contracts with its own Gaussian weights; the mirrored half
+follows in closed form, since parity flips <Jz> and keeps the other moments.
+Halving the t-step keeps every node, so node doubling solves only the new
+ones.  Detector blur multiplies the visibility by exp(-k^2 s^2 / 2) and
+leaves the squeezing of the source state untouched.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,12 +29,14 @@ from .josephson import ConvergenceError, ModelParams, ground_state, ground_state
 from .josephson import thermal_ensemble
 from .spin_core import Moments, SpinState, StateEnsemble, build_basis, compute_moments
 from .spin_core import moment_table
+from .witnesses import _require_nu_range
 
 __all__ = [
     "QuadratureRule",
     "split_gaussian_rule",
     "delta_mixture",
     "delta_mixture_moments",
+    "delta_column_moments",
     "delta_thermal_mixture",
     "blur_visibility",
     "DEFAULT_QUAD_ORDER",
@@ -47,6 +50,10 @@ CONVERGENCE_ATOL = 1e-12
 # Gaussian support kept per half-axis, in units of sigma; the truncated
 # tail weight (~1e-15) is absorbed by renormalization.
 GAUSSIAN_SPAN = 8.0
+# A sigma_delta shares the panel of a larger one only down to this fraction
+# of it: the first node lies 2e-14 of the span above zero, and at 1e-4 a
+# mixture that passed the doubling check was measured 6e-8 off.
+MIN_SHARED_SIGMA_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
@@ -55,75 +62,106 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-@lru_cache(maxsize=16)
-def _legendre(half_order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(half_order)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+def _panel(half: int, span: float, sigmas) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-sinh panel of ``half`` points on [0, span]: the nodes
+    span / (1 + exp(-pi sinh t)), t equispaced on [-3, 3], and one row of
+    weights per sigma for a centered Gaussian of that standard deviation,
+    which sum to 1 with the mirrored half.  Each node is computed alone by
+    scalar libm calls, so it depends on its t only: the ``half`` nodes are
+    bit for bit every other node of the ``2 * half - 1`` panel."""
+    x, dxdt = np.empty(half), np.empty(half)
+    for k, t in enumerate(np.linspace(-3.0, 3.0, half)):
+        u = math.pi * math.sinh(t)
+        x[k] = 1.0 / (1.0 + math.exp(-u))
+        dxdt[k] = math.cosh(t) / math.cosh(0.5 * u) ** 2  # up to a common factor
+    nodes = span * x
+    w = dxdt * np.exp(-0.5 * (nodes / np.reshape(sigmas, (-1, 1))) ** 2)
+    return nodes, w / (2.0 * w.sum(axis=1, keepdims=True))
 
 
 def split_gaussian_rule(half_order: int, sigma: float) -> QuadratureRule:
     """Quadrature for a centered Gaussian of standard deviation ``sigma``,
-    split at zero: a Gauss-Legendre panel on each half-axis with the
-    Gaussian folded into the weights (unit sum).  Nodes are strictly
-    nonzero and symmetric about the origin."""
-    x, w = _legendre(operator.index(half_order))
-    d = 0.5 * GAUSSIAN_SPAN * sigma * (x + 1.0)
-    gw = w * np.exp(-0.5 * (d / sigma) ** 2)
-    nodes = np.concatenate([-d[::-1], d])
-    weights = np.concatenate([gw[::-1], gw])
-    return QuadratureRule(nodes=nodes, weights=weights / weights.sum())
+    split at zero: a tanh-sinh panel of ``half_order`` points on each
+    half-axis, over GAUSSIAN_SPAN standard deviations, with the Gaussian
+    folded into the weights (unit sum).  Nodes are strictly nonzero and
+    symmetric about the origin, the positive half last."""
+    d, (w,) = _panel(operator.index(half_order), GAUSSIAN_SPAN * sigma, [sigma])
+    return QuadratureRule(np.concatenate([-d[::-1], d]), np.concatenate([w[::-1], w]))
 
 
 # a node and its parity mirror contribute these multiples of the node's row
 MIRROR_PAIR = np.array([2.0, 2.0, 0.0, 2.0, 2.0, 2.0])
 
 
-def _level(basis, lam: float, sigma_delta: float, order: int):
-    """One quadrature level: its rule, the ground states at its positive
-    nodes (columns) and the six mixture moments."""
-    half = (order + 1) // 2
-    rule = split_gaussian_rule(half, sigma_delta)
-    _, vectors = ground_states(basis.n_particles, lam, rule.nodes[half:])
-    table = moment_table(basis, vectors)
-    return rule, vectors, (rule.weights[half:] @ table) * MIRROR_PAIR
-
-
-def _converged_level(n_particles, lam, sigma_delta, order, check):
-    """The level node doubling settles on (see ``delta_mixture``), or None
-    for sigma_delta = 0, the pure ground state."""
-    if sigma_delta < 0:
-        raise ValueError("sigma_delta must be nonnegative")
+def _tilt_column(n_particles: int, lam: float, sigmas, order: int, check: bool,
+                 keep_states: bool = False):
+    """The panel of (order + 1) / 2 points on [0, GAUSSIAN_SPAN * max(sigmas)]
+    for the positive ``sigmas`` of one lambda.  With ``check`` on, its t-step
+    is halved until each sigma's moments are stable between two levels.
+    Returns the ground states at the nodes (rows; None unless kept, which
+    costs a scan about 1 MB of peak memory at N = 1000) and per sigma its
+    moments, or the ConvergenceError of one still drifting at the cap."""
     if order < 1 or order % 2 == 0:
         raise ValueError("quadrature order must be a positive odd integer")
     if check and order < 3:  # doubling order 1 gives order 1 again
         raise ValueError("the node-doubling check needs quadrature order >= 3")
-    if sigma_delta == 0:
-        return None
+    span = GAUSSIAN_SPAN * max(sigmas)
     basis = build_basis(n_particles)
-    level = _level(basis, lam, sigma_delta, order)
-    while check:
-        doubled = 2 * order - 1
-        finer = _level(basis, lam, sigma_delta, doubled)
-        drift = np.abs(level[2] - finer[2])
-        if np.all(drift <= CONVERGENCE_ATOL + CONVERGENCE_RTOL * np.abs(finer[2])):
-            return finer
-        if doubled >= MAX_QUAD_ORDER:
-            raise ConvergenceError(
-                f"delta mixture not converged at quadrature order {doubled} "
-                f"(lam={lam}, sigma_delta={sigma_delta})"
-            )
-        order, level = doubled, finer
-    return level
+    nodes, weights = _panel((order + 1) // 2, span, sigmas)
+    vectors = ground_states(n_particles, lam, nodes)[1]
+    table = moment_table(basis, vectors)
+    states = vectors.T if keep_states else None
+    moments = (weights @ table) * MIRROR_PAIR
+    drifting = np.full(len(sigmas), check)
+    while drifting.any():
+        order = 2 * order - 1
+        nodes, weights = _panel((order + 1) // 2, span, sigmas)
+        new = ground_states(n_particles, lam, nodes[1::2])[1]
+        # the coarse nodes are nodes[::2]: the new ones go in between
+        between = np.arange(1, len(table))
+        if keep_states:
+            states = np.insert(states, between, new.T, axis=0)
+        table = np.insert(table, between, moment_table(basis, new), axis=0)
+        finer = (weights @ table) * MIRROR_PAIR
+        tol = CONVERGENCE_ATOL + CONVERGENCE_RTOL * np.abs(finer)
+        drifting &= ~np.all(np.abs(moments - finer) <= tol, axis=1)
+        moments = finer
+        if order >= MAX_QUAD_ORDER:
+            break
+    return states, [
+        ConvergenceError(f"delta mixture not converged at quadrature order {order} "
+                         f"(lam={lam}, sigma_delta={sigma})") if failed else Moments(*row)
+        for sigma, row, failed in zip(sigmas, moments, drifting)
+    ]
+
+
+def delta_column_moments(n_particles: int, lam: float, sigmas) -> list:
+    """Moments of the tilt mixture at each sigma_delta of ``sigmas`` for one
+    lambda, checked by node doubling: the nonzero ones on one shared panel
+    (within ``MIN_SHARED_SIGMA_RATIO``), 0 the pure ground state.  A sigma
+    still drifting at ``MAX_QUAD_ORDER`` gets its ConvergenceError."""
+    if not all(s >= 0 for s in sigmas):
+        raise ValueError("sigma_delta must be nonnegative")
+    found = {}
+    if 0 in sigmas:
+        found[0.0] = compute_moments(ground_state(ModelParams(n_particles, lam, 0.0))[1])
+    positive = sorted({s for s in sigmas if s > 0}, reverse=True)
+    while positive:
+        shared = [s for s in positive if s >= MIN_SHARED_SIGMA_RATIO * positive[0]]
+        results = _tilt_column(n_particles, lam, shared, DEFAULT_QUAD_ORDER, True)[1]
+        found.update(zip(shared, results))
+        positive = positive[len(shared):]
+    return [found[s] for s in sigmas]
 
 
 def delta_mixture_moments(n_particles: int, lam: float, sigma_delta: float) -> Moments:
     """Moments of ``delta_mixture`` at its default order, with the node-doubling
-    check, reduced level by level without building the mixture's states."""
-    level = _converged_level(n_particles, lam, sigma_delta, DEFAULT_QUAD_ORDER, True)
-    if level is None:
-        return compute_moments(ground_state(ModelParams(n_particles, lam, 0.0))[1])
-    return Moments(*level[2])
+    check: the one-sigma ``delta_column_moments``, reduced level by level
+    without building the mixture's states."""
+    (moments,) = delta_column_moments(n_particles, lam, [sigma_delta])
+    if isinstance(moments, ConvergenceError):
+        raise moments
+    return moments
 
 
 def delta_mixture(
@@ -135,20 +173,24 @@ def delta_mixture(
 ) -> StateEnsemble:
     """Mixture of tilted ground states under Gaussian delta fluctuations.
 
-    Split-at-zero Gaussian quadrature of the given (odd) total order; only
-    positive-tilt ground states are solved, the negative half follows from
-    parity.  With ``check`` on, a node-doubling comparison guards the
-    discretization: the order is doubled until every ensemble moment is
-    stable to 1e-6 relative, and a mixture that is still drifting at the
-    order cap raises ConvergenceError.
+    Split-at-zero tanh-sinh quadrature of the given (odd) total order, with
+    (order + 1) / 2 nodes per half-axis; only positive-tilt ground states
+    are solved, the negative half follows from parity.  With ``check`` on, a
+    node-doubling comparison guards the discretization: the order is
+    doubled until every ensemble moment is stable to 1e-6 relative, and a
+    mixture that is still drifting at the order cap raises ConvergenceError.
     """
-    level = _converged_level(n_particles, lam, sigma_delta, order, check)
-    if level is None:  # the pure ground state
+    if sigma_delta < 0:
+        raise ValueError("sigma_delta must be nonnegative")
+    if sigma_delta == 0:  # the pure ground state
         return thermal_ensemble(ModelParams(n_particles, lam, 0.0), 0.0)
-    rule, vectors, _ = level
+    states, (moments,) = _tilt_column(n_particles, lam, [sigma_delta], order, check, True)
+    if isinstance(moments, ConvergenceError):
+        raise moments
     # rows: the mirrored states at the negative nodes, then the positive ones
-    rows = np.vstack([vectors.T[::-1, ::-1], vectors.T])
+    rows = np.vstack([states[::-1, ::-1], states])
     basis = build_basis(n_particles)
+    rule = split_gaussian_rule(len(states), sigma_delta)
     return StateEnsemble(tuple(SpinState(basis, row) for row in rows), rule.weights)
 
 
@@ -181,6 +223,5 @@ def delta_thermal_mixture(
 
 def blur_visibility(nu: float, k_fringe: float, sigma_detector: float) -> float:
     """Visibility after Gaussian detector blur: nu * exp(-k^2 s^2 / 2)."""
-    if not 0.0 <= nu <= 1.0:
-        raise ValueError("nu must lie in [0, 1]")
+    _require_nu_range(nu)
     return nu * math.exp(-0.5 * (k_fringe * sigma_detector) ** 2)

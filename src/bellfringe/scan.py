@@ -4,10 +4,10 @@ A scan walks a lambda grid (outer) and a noise grid (inner) and emits one
 row of witness quantities per point.  For each lambda, a column source
 does the shared work and returns the spin moments at each noise value:
 ground and blurred modes, the one ground-state row (blurred also checks
-its unblurred report); delta_mixture, the quadrature mixture at each
-sigma_delta; thermal, Boltzmann averages of a K x 6 moment table solved
-once over the window the largest finite T occupies (T = 0 reads its ground
-row, and T = inf is the uniform mixture, with no fringes).  One row path
+its unblurred report); delta_mixture, the quadrature mixtures of all its
+sigma_delta on one tilt grid; thermal, Boltzmann averages of a K x 6 moment
+table solved once over the window the largest finite T occupies (T = 0
+reads its ground row, and T = inf is the uniform mixture).  One row path
 then probes the visibility floor (after blur in blurred mode), rotates,
 forms (xi^2, nu) and builds the witness report.  A failure at one point
 becomes an error row; a failed column source fails its whole column.
@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
+from .fringe_mc import FringeParams
 from .josephson import (
     THERMAL_WEIGHT_CUTOFF,
     ModelParams,
@@ -33,7 +34,7 @@ from .josephson import (
     ground_state,
     low_spectrum,
 )
-from .noise import blur_visibility, delta_mixture_moments
+from .noise import blur_visibility, delta_column_moments
 from .spin_core import Moments, _is_integer, build_basis, compute_moments, moment_table
 from .spin_core import rotate_pi2_about_x
 from .witnesses import VisibilityError, build_report, phase_squeezing, visibility
@@ -166,11 +167,21 @@ class ScanSpec:
         return cls(**data)
 
 
-def _mc_settings(mc) -> dict:
-    """``MC_DEFAULTS`` updated by an "mc" block; None is an empty block."""
+def _mc_settings(mc, flags=None) -> tuple[dict, FringeParams]:
+    """``MC_DEFAULTS`` updated by an "mc" block (None is an empty one), then
+    by the ``flags`` that are not None: the checked settings and their
+    ``FringeParams``."""
     if not (mc is None or isinstance(mc, dict) and mc.keys() <= MC_KEYS):
         raise ValueError(f"mc must be an object with keys {sorted(MC_KEYS)}, got {mc!r}")
-    return {**MC_DEFAULTS, **(mc or {})}
+    settings = {**MC_DEFAULTS, **(mc or {})}
+    settings.update((key, v) for key, v in (flags or {}).items() if v is not None)
+    for key, value in settings.items():
+        integral = type(MC_DEFAULTS[key]) is int
+        if not (_is_integer(value) if integral else _is_real(value)):
+            kind = "an integer" if integral else "a number"
+            raise ValueError(f"mc {key} must be {kind}, got {value!r}")
+    fields = ("nu", "phi", "k", "n_atoms", "n_periods")
+    return settings, FringeParams(**{key: settings[key] for key in fields})
 
 
 def _is_real(value) -> bool:
@@ -257,8 +268,8 @@ def _error_row(lam, noise_value, rotate, error) -> ScanRow:
 def _column_source(spec: ScanSpec, lam: float, rotate: bool, cache):
     """The work one lambda column shares; returns noise value -> moments."""
     n = spec.n_particles
-    if spec.mode == "delta_mixture":
-        return lambda sigma_delta: delta_mixture_moments(n, lam, sigma_delta)
+    if spec.mode == "delta_mixture":  # one tilt grid for the whole column
+        return dict(zip(spec.noise_grid, delta_column_moments(n, lam, spec.noise_grid))).get
     params = ModelParams(n, lam, 0.0)
     if spec.mode != "thermal":
         moments = compute_moments(ground_state(params)[1])
@@ -293,6 +304,8 @@ def _scan_one_lambda(spec: ScanSpec, lam: float, cache=None) -> list:
     for value in spec.noise_grid:
         try:
             moments = moments_at(value)
+            if isinstance(moments, Exception):  # a point its column could not settle
+                raise moments
             nu = visibility(moments, spec.n_particles)
             if spec.mode == "blurred":
                 nu = blur_visibility(nu, spec.k_fringe, value)

@@ -189,6 +189,12 @@ def report_from_moments(
     return build_report(xi2, nu, n_particles, rotated=apply_rotation)
 
 
+def _require_nu_range(nu: float):
+    """ValueError unless the visibility ``nu`` lies in [0, 1]."""
+    if not 0.0 <= nu <= 1.0:
+        raise ValueError("nu must lie in [0, 1]")
+
+
 def _require_visibility(nu: float):
     if not 0.0 < nu <= 1.0:
         raise VisibilityError(f"nu = {nu!r} outside (0, 1]")

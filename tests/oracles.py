@@ -66,3 +66,23 @@ def dense_rotated_moments(n_particles: int, psi: np.ndarray, theta: float):
 def random_real_state(n_particles: int, rng) -> np.ndarray:
     psi = rng.standard_normal(n_particles + 1)
     return psi / np.linalg.norm(psi)
+
+
+def tanh_sinh_delta_moments(n_particles: int, lam: float, sigma: float, half: int = 321):
+    """(jx, jy, jz, jx2, jy2, jz2) of the Gaussian tilt mixture at one
+    sigma_delta on its own fine tanh-sinh panel: ``half`` nodes
+    8 sigma / (1 + exp(-pi sinh t)), t equispaced on [-3, 3], on each
+    half-axis, dense ground states at the positive nodes, and the negative
+    ones by parity (the same moments with <Jz> flipped)."""
+    t = np.linspace(-3.0, 3.0, half)
+    u = np.pi * np.sinh(t)
+    tilts = 8.0 * sigma / (1.0 + np.exp(-u))
+    weights = np.cosh(t) / np.cosh(u / 2) ** 2 * np.exp(-0.5 * (tilts / sigma) ** 2)
+    jx, jy, jz = dense_spin_matrices(n_particles)
+    ops = (jx, jy, jz, jx @ jx, jy @ jy, jz @ jz)
+    total = np.zeros(6)
+    for tilt, weight in zip(tilts, weights / weights.sum()):
+        psi = np.linalg.eigh(dense_hamiltonian(n_particles, lam, tilt))[1][:, 0]
+        total += weight * np.array([(psi @ op @ psi).real for op in ops])
+    total[2] = 0.0  # the mirrored half cancels <Jz>
+    return total

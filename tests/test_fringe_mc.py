@@ -7,6 +7,7 @@ from scipy import optimize, stats
 
 from bellfringe import (
     FringeParams,
+    blur_visibility,
     density,
     draw_shot_phase,
     fit_phase,
@@ -43,6 +44,23 @@ class TestDensity:
     def test_rejects_bad_contrast(self):
         with pytest.raises(ValueError):
             density(0.0, 1.2, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "accepts_nu",
+    [
+        lambda nu: density(0.0, nu, 0.0, 1.0),
+        lambda nu: make_params(nu=nu),
+        lambda nu: blur_visibility(nu, 1.0, 0.1),
+    ],
+    ids=["density", "FringeParams", "blur_visibility"],
+)
+def test_one_nu_range_rule(accepts_nu):
+    for nu in (0.0, 1.0):
+        accepts_nu(nu)
+    for nu in (-0.1, 1.2, math.nan):
+        with pytest.raises(ValueError, match=r"^nu must lie in \[0, 1\]$"):
+            accepts_nu(nu)
 
 
 class TestParams:

@@ -247,9 +247,10 @@ class TestGroundStates:
             delta_mixture_moments(40, -0.5, 0.05)
 
     @pytest.mark.parametrize("mixture", [delta_mixture, delta_mixture_moments])
-    def test_first_doubling_solves_62_nodes(self, monkeypatch, mixture):
-        # orders 41 and 81 have 21 and 41 positive nodes, one solve each
-        n, lam, sigma = 40, 3.0, 0.05
+    def test_first_doubling_solves_41_nodes(self, monkeypatch, mixture):
+        # orders 41 and 81 have 21 and 41 positive nodes; the 21 coarse ones
+        # are every other node of order 81, so the doubling solves 20 more
+        n, lam, sigma = 12, 8.0, 0.02
         assert len(delta_mixture(n, lam, sigma).states) == 82
         calls = []
 
@@ -259,7 +260,7 @@ class TestGroundStates:
 
         monkeypatch.setattr(josephson, "eigh_tridiagonal", counting)
         mixture(n, lam, sigma)
-        assert len(calls) == 21 + 41
+        assert len(calls) == 21 + 20
 
 
 class TestFullSpectrum:

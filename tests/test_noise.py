@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from bellfringe import (
     ModelParams,
@@ -18,13 +19,17 @@ from bellfringe import (
     thermal_ensemble,
     visibility,
 )
-from bellfringe.noise import _legendre
+from bellfringe import josephson
+from bellfringe.noise import delta_column_moments
+from oracles import tanh_sinh_delta_moments
 
 
 class TestSplitGaussianRule:
+    # the tanh-sinh panel reaches 1.8e-12 on these at 81 points per
+    # half-axis (6e-5 at 31)
     def test_moments_of_gaussian(self):
         sigma = 0.4
-        rule = split_gaussian_rule(31, sigma)
+        rule = split_gaussian_rule(81, sigma)
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.dot(rule.weights, rule.nodes) == pytest.approx(0.0, abs=1e-14)
         assert np.dot(rule.weights, rule.nodes**2) == pytest.approx(
@@ -38,29 +43,23 @@ class TestSplitGaussianRule:
         # integrates sign-discontinuous functions exactly where a global
         # rule cannot: E[|x|] = sigma sqrt(2/pi)
         sigma = 0.7
-        rule = split_gaussian_rule(31, sigma)
+        rule = split_gaussian_rule(81, sigma)
         want = sigma * math.sqrt(2.0 / math.pi)
         assert np.dot(rule.weights, np.abs(rule.nodes)) == pytest.approx(
             want, rel=1e-10
         )
 
-    def test_cached_panel_stays_intact(self):
-        # the Legendre panel is cached per half order and read-only, so a
-        # caller that edits a returned rule cannot change the next one
-        first = split_gaussian_rule(21, 0.3)
-        nodes, weights = first.nodes.copy(), first.weights.copy()
-        first.nodes[:] = 0.0
-        first.weights[:] = 0.0
-        again = split_gaussian_rule(21, 0.3)
-        assert np.array_equal(again.nodes, nodes)
-        assert np.array_equal(again.weights, weights)
-        x, w = _legendre(21)
-        assert not x.flags.writeable and not w.flags.writeable
-
     def test_nodes_symmetric_and_nonzero(self):
         rule = split_gaussian_rule(15, 1.0)
         assert np.allclose(rule.nodes, -rule.nodes[::-1])
-        assert np.all(rule.nodes != 0.0)
+        assert np.all(rule.nodes[15:] > 0.0)
+
+    @pytest.mark.parametrize("half", [2, 6, 11, 21, 41, 81, 161, 321])
+    def test_coarse_nodes_are_every_other_fine_node(self, half):
+        # node doubling reuses every coarse solve, so the nesting is exact
+        fine = 2 * half - 1
+        coarse = split_gaussian_rule(half, 0.06).nodes[half:]
+        assert np.array_equal(coarse, split_gaussian_rule(fine, 0.06).nodes[fine:][::2])
 
 
 class TestDeltaMixture:
@@ -117,6 +116,49 @@ class TestDeltaMixture:
         with pytest.raises(ValueError, match="order >= 3"):
             delta_mixture(200, -1.03, 0.06, order=1)
         assert len(delta_mixture(200, -1.03, 0.06, order=1, check=False).states) == 2
+
+
+class TestDeltaColumn:
+    def test_one_sigma_column_is_delta_mixture_moments(self):
+        n, lam = 60, -1.1
+        ground, mixed = delta_column_moments(n, lam, [0.0, 0.04])
+        assert mixed == delta_mixture_moments(n, lam, 0.04)
+        assert ground == compute_moments(ground_state(ModelParams(n, lam, 0.0))[1])
+
+    @pytest.mark.parametrize("lam", [-1.2, -1.03, 0.5, 8.0])
+    def test_shared_grid_matches_per_sigma_oracle(self, lam):
+        # the column solves on the widest sigma's panel; the oracle gives
+        # each sigma its own fine panel and dense ground states
+        n, sigmas = 40, (0.01, 0.05, 0.1)
+        for sigma, got in zip(sigmas, delta_column_moments(n, lam, sigmas)):
+            want = tanh_sinh_delta_moments(n, lam, sigma)
+            got = [got.jx, got.jy, got.jz, got.jx2, got.jy2, got.jz2]
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-10), sigma
+
+    def test_transition_point_converges(self, monkeypatch):
+        # next to the transition the moments change fastest around zero tilt
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(josephson, "eigh_tridiagonal", counting)
+        moments = delta_mixture_moments(1000, -1.03, 0.06)
+        assert len(calls) == 81
+        assert 0.0 < moments.jx < 500.0
+
+    def test_widths_far_apart_get_their_own_grids(self):
+        # a sigma_delta 1e-116 times the widest would get no node on its panel
+        n, lam = 20, -1.2
+        tiny, wide = delta_column_moments(n, lam, [1e-116, 0.25])
+        assert tiny == delta_mixture_moments(n, lam, 1e-116)
+        assert wide == delta_mixture_moments(n, lam, 0.25)
+
+    def test_rejects_negative_and_nan_sigma(self):
+        for sigmas in ([0.1, -0.1], [math.nan]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                delta_column_moments(10, 0.0, sigmas)
 
 
 class TestDeltaThermalMixture:

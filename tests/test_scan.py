@@ -19,7 +19,6 @@ from bellfringe import (
     bell_witness,
     build_report,
     compute_moments,
-    delta_mixture,
     emit_outputs,
     extract_region_boundary,
     find_zero_crossings,
@@ -30,7 +29,7 @@ from bellfringe import (
     split_gaussian_rule,
     visibility,
 )
-from bellfringe import cli
+from bellfringe import cli, noise
 from bellfringe.cli import main as cli_main
 from bellfringe.scan import (
     CSV_HEADER,
@@ -207,6 +206,28 @@ class TestRunScan:
         rows = run_scan(spec)
         assert rows[1].b_param > rows[0].b_param
 
+    def test_unconverged_sigma_marks_only_its_row(self, monkeypatch):
+        # on the column's panel the narrower sigma_delta settles one doubling
+        # later than the wider one; with the cap lowered it does not
+        spec = ScanSpec(
+            n_particles=40,
+            lambda_grid=(-0.9,),
+            mode="delta_mixture",
+            noise_axis="sigma_delta",
+            noise_grid=(0.0, 0.02, 0.08),
+        )
+        settled = run_scan(spec)
+        monkeypatch.setattr(noise, "MAX_QUAD_ORDER", 161)
+        capped = run_scan(spec)
+        assert [r.error for r in settled] == ["", "", ""]
+        assert capped[1].error == (
+            "ConvergenceError: delta mixture not converged at quadrature order 161"
+            " (lam=-0.9, sigma_delta=0.02)"
+        )
+        assert capped[0] == settled[0]
+        assert capped[2].error == ""
+        assert capped[2].b_param == pytest.approx(settled[2].b_param, rel=1e-6)
+
     def test_threaded_matches_serial(self):
         spec = ground_spec([-1.2, -0.9, -0.3, 0.0, 2.0, 8.0])
         assert run_scan(spec, threads=4) == run_scan(spec, threads=1)
@@ -308,9 +329,9 @@ class TestRunScan:
             (lam, sd) for lam in lams for sd in sigmas
         ]
         for row in rows:
-            # the dense mixture uses the order node doubling settled on
-            ens = delta_mixture(n, row.lam, row.noise_value)
-            want = dense_delta_report(n, row.lam, row.noise_value, len(ens.states) // 2)
+            # the scan shares the widest sigma_delta's panel over the column;
+            # the dense mixture gives each its own fine panel
+            want = dense_delta_report(n, row.lam, row.noise_value, 161)
             assert row.error == ""
             assert row.rotated == want.rotated
             for name in ("nu", "xi2", "a_param", "b_param", "theta0", "var_phi"):
@@ -631,8 +652,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "config",
-        [[1, 2], {"mc": [1]}, {"mc": {"n_shot": 1000}}],
-        ids=["list_config", "list_mc", "unknown_mc_key"],
+        [[1, 2], {"mc": [1]}, {"mc": {"n_shot": 1000}}, {"mc": {"nu": "abc", "n_shots": 10}}],
+        ids=["list_config", "list_mc", "unknown_mc_key", "string_mc_value"],
     )
     def test_mc_verify_bad_config_is_config_error(self, tmp_path, config, capsys):
         cfg = self.write_config(tmp_path, config)
@@ -726,6 +747,9 @@ class TestCli:
             {"lambda_grid": "12"},
             {"mc": "x"},
             {"mc": {"n_shot": 1000}},
+            {"mc": {"nu": "abc", "n_shots": 10}},
+            {"mc": {"nu": 1.5}},
+            {"mc": {"seed": 1.5}},
             {"n_particles": 10, "lambda_grid": [0.5], "noise_grid": [0.5, 2.0]},
             {"lambda_grid": {"start": True, "stop": 2, "num": True}},
             {"lambda_grid": {"start": 0, "stop": 1, "num": 2.0}},
@@ -748,6 +772,9 @@ class TestCli:
             "string_grid",
             "string_mc",
             "unknown_mc_key",
+            "string_mc_value",
+            "mc_nu_out_of_range",
+            "float_mc_seed",
             "ground_noise_grid",
             "bool_linspace",
             "float_num",
@@ -815,7 +842,9 @@ BAD_VALUES = {
     "seed": st.sampled_from([1.5, "x", True, None, [0]]),
     "outputs": st.sampled_from(["csv", ["xml"], ["csv", "xml"], 5, None, [["csv"]]]),
     "rotation": st.sampled_from(["on", "AUTO", None, True]),
-    "mc": st.sampled_from(["x", [1], 3, True, {"n_shot": 1000}]),
+    "mc": st.sampled_from(
+        ["x", [1], 3, True, {"n_shot": 1000}, {"nu": "abc", "n_shots": 10}, {"seed": 0.5}]
+    ),
 }
 
 

@@ -65,13 +65,22 @@ DELTA = {
     "noise_axis": "sigma_delta",
     "noise_grid": [0.0, 0.02, 0.06],
 }
-# a point that does not converge: its row carries a ConvergenceError marker
-DELTA_UNCONVERGED = {
+# a point next to the transition, where the tilted ground states change
+# fastest around zero tilt
+DELTA_TRANSITION_POINT = {
     "n_particles": 1000,
     "lambda_grid": [-1.03],
     "mode": "delta_mixture",
     "noise_axis": "sigma_delta",
     "noise_grid": [0.06],
+}
+# columns across the transition, several sigma_delta sharing one tilt grid
+DELTA_TRANSITION = {
+    "n_particles": 1000,
+    "lambda_grid": [-1.045, -1.03, -1.0],
+    "mode": "delta_mixture",
+    "noise_axis": "sigma_delta",
+    "noise_grid": [0.0, 0.01, 0.05, 0.1],
 }
 CROSSING = {"n_particles": 1000, "lambda_grid": {"start": -1.0, "stop": -0.5, "num": 11}}
 BLURRED_CROSSING = {
@@ -90,6 +99,7 @@ NEGATIVE_ZERO_NOISE = {
     "noise_grid": [-0.0, 1.0],
 }
 MC_TYPO = {"n_particles": 20, "lambda_grid": [0.5], "mc": {"n_shot": 1000}}
+MC_BAD_VALUE = {"n_particles": 20, "lambda_grid": [0.5], "mc": {"nu": "abc", "n_shots": 10}}
 MC_BLOCK = {"mc": {"nu": 0.9, "n_atoms": 500, "n_shots": 1000}}
 MC_FULL = {
     "mc": {"nu": 0.7, "xi2": 0.5, "phi": 0.3, "k": 2.0, "n_atoms": 300,
@@ -108,10 +118,12 @@ CASES = (
     ("scan-thermal-cache-warm", ["scan", "--cache", "cache"], THERMAL_INF),
     ("scan-blurred", ["scan"], BLURRED),
     ("scan-delta", ["scan"], DELTA),
-    ("scan-delta-unconverged", ["scan"], DELTA_UNCONVERGED),
+    ("scan-delta-transition-point", ["scan"], DELTA_TRANSITION_POINT),
+    ("scan-delta-transition", ["scan"], DELTA_TRANSITION),
     ("scan-negative-zero-lambda", ["scan"], NEGATIVE_ZERO_LAMBDA),
     ("scan-negative-zero-noise", ["scan"], NEGATIVE_ZERO_NOISE),
     ("scan-mc-typo", ["scan"], MC_TYPO),
+    ("scan-mc-bad-value", ["scan"], MC_BAD_VALUE),
     ("crossings-b", ["crossings"], CROSSING),
     ("crossings-a", ["crossings", "--column", "a_param"], CROSSING),
     ("crossings-blurred", ["crossings"], BLURRED_CROSSING),
