@@ -3,17 +3,16 @@
 Gaussian shot-to-shot fluctuations of the well imbalance delta turn the
 ground state into a mixture of tilted ground states.  On the attractive
 side the ground state crosses over abruptly between the wells around zero
-tilt, a boundary layer on which global rules and Gauss-Legendre panels
-converge only algebraically.  So the mixture is split at delta = 0, and each
-half-axis [0, L] gets a tanh-sinh panel x = L / (1 + exp(-pi sinh t)), t
-equispaced on [-3, 3], whose nodes crowd double-exponentially into its ends
-(Takahasi & Mori, Publ. RIMS 9, 721 (1974)).  The sigma_delta of a lambda
-column share one panel, L = GAUSSIAN_SPAN * the widest (down to a thousandth
-of it): its ground states are solved once into a K x 6 moment table, which
-each sigma_delta contracts with its own Gaussian weights; the mirrored half
-follows in closed form, since parity flips <Jz> and keeps the other moments.
-Halving the t-step keeps every node, so node doubling solves only the new
-ones.  Detector blur multiplies the visibility by exp(-k^2 s^2 / 2) and
+tilt, where global and Gauss-Legendre rules converge only algebraically.
+So the mixture is split at delta = 0, and each half-axis gets an exp-sinh
+panel x = sigma exp(pi/2 sinh t), t equispaced on [-4, 1.2], whose nodes
+crowd double-exponentially into zero (Takahasi & Mori, Publ. RIMS 9, 721
+(1974)).  The sigma_delta of a lambda column share the widest one's panel:
+its ground states are solved once into a K x 6 moment table, which each
+sigma_delta contracts with its own Gaussian weights; the mirrored half
+follows by parity, which flips <Jz> and keeps the other moments.  Halving
+the t-step keeps every node, so node doubling solves only the new ones.
+Detector blur multiplies the visibility by exp(-k^2 s^2 / 2) and
 leaves the squeezing of the source state untouched.
 """
 
@@ -47,12 +46,9 @@ DEFAULT_QUAD_ORDER = 41
 MAX_QUAD_ORDER = 641
 CONVERGENCE_RTOL = 1e-6
 CONVERGENCE_ATOL = 1e-12
-# Gaussian support kept per half-axis, in units of sigma; the truncated
-# tail weight (~1e-15) is absorbed by renormalization.
-GAUSSIAN_SPAN = 8.0
 # A sigma_delta shares the panel of a larger one only down to this fraction
-# of it: the first node lies 2e-14 of the span above zero, and at 1e-4 a
-# mixture that passed the doubling check was measured 6e-8 off.
+# of it: the narrower a Gaussian against the panel, the fewer nodes resolve
+# it, and at 1e-4 a mixture that passed the doubling check was 9e-9 off.
 MIN_SHARED_SIGMA_RATIO = 1e-3
 
 
@@ -62,30 +58,29 @@ class QuadratureRule:
     weights: np.ndarray
 
 
-def _panel(half: int, span: float, sigmas) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-sinh panel of ``half`` points on [0, span]: the nodes
-    span / (1 + exp(-pi sinh t)), t equispaced on [-3, 3], and one row of
-    weights per sigma for a centered Gaussian of that standard deviation,
+def _panel(half: int, scale: float, sigmas) -> tuple[np.ndarray, np.ndarray]:
+    """Exp-sinh panel of ``half`` points on the positive half-axis: the
+    nodes scale * exp(pi/2 sinh t), t equispaced on [-4, 1.2], and one row
+    of weights per sigma for a centered Gaussian of that standard deviation,
     which sum to 1 with the mirrored half.  Each node is computed alone by
     scalar libm calls, so it depends on its t only: the ``half`` nodes are
     bit for bit every other node of the ``2 * half - 1`` panel."""
     x, dxdt = np.empty(half), np.empty(half)
-    for k, t in enumerate(np.linspace(-3.0, 3.0, half)):
-        u = math.pi * math.sinh(t)
-        x[k] = 1.0 / (1.0 + math.exp(-u))
-        dxdt[k] = math.cosh(t) / math.cosh(0.5 * u) ** 2  # up to a common factor
-    nodes = span * x
+    for k, t in enumerate(np.linspace(-4.0, 1.2, half)):
+        x[k] = math.exp(0.5 * math.pi * math.sinh(t))
+        dxdt[k] = x[k] * math.cosh(t)  # up to a common factor
+    nodes = scale * x
     w = dxdt * np.exp(-0.5 * (nodes / np.reshape(sigmas, (-1, 1))) ** 2)
     return nodes, w / (2.0 * w.sum(axis=1, keepdims=True))
 
 
 def split_gaussian_rule(half_order: int, sigma: float) -> QuadratureRule:
     """Quadrature for a centered Gaussian of standard deviation ``sigma``,
-    split at zero: a tanh-sinh panel of ``half_order`` points on each
-    half-axis, over GAUSSIAN_SPAN standard deviations, with the Gaussian
-    folded into the weights (unit sum).  Nodes are strictly nonzero and
-    symmetric about the origin, the positive half last."""
-    d, (w,) = _panel(operator.index(half_order), GAUSSIAN_SPAN * sigma, [sigma])
+    split at zero: an exp-sinh panel of ``half_order`` points on each
+    half-axis, out to 10.7 standard deviations, with the Gaussian folded
+    into the weights (unit sum).  Nodes are strictly nonzero and symmetric
+    about the origin, the positive half last."""
+    d, (w,) = _panel(operator.index(half_order), sigma, [sigma])
     return QuadratureRule(np.concatenate([-d[::-1], d]), np.concatenate([w[::-1], w]))
 
 
@@ -93,36 +88,35 @@ def split_gaussian_rule(half_order: int, sigma: float) -> QuadratureRule:
 MIRROR_PAIR = np.array([2.0, 2.0, 0.0, 2.0, 2.0, 2.0])
 
 
-def _tilt_column(n_particles: int, lam: float, sigmas, order: int, check: bool,
-                 keep_states: bool = False):
-    """The panel of (order + 1) / 2 points on [0, GAUSSIAN_SPAN * max(sigmas)]
-    for the positive ``sigmas`` of one lambda.  With ``check`` on, its t-step
-    is halved until each sigma's moments are stable between two levels.
-    Returns the ground states at the nodes (rows; None unless kept, which
-    costs a scan about 1 MB of peak memory at N = 1000) and per sigma its
-    moments, or the ConvergenceError of one still drifting at the cap."""
+def _settled(result):
+    """``result``, or raise it if it is the error its solve ended in."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _tilt_column(n_particles: int, lam: float, sigmas, order: int, check: bool):
+    """The panel of (order + 1) / 2 points for the positive ``sigmas`` of one
+    lambda, scaled by the widest.  With ``check`` on, its t-step is halved
+    until each sigma's moments are stable between two levels.  Returns the
+    ground states at the nodes (columns) and per sigma its moments, or the
+    ConvergenceError of one still drifting at the cap."""
     if order < 1 or order % 2 == 0:
         raise ValueError("quadrature order must be a positive odd integer")
     if check and order < 3:  # doubling order 1 gives order 1 again
         raise ValueError("the node-doubling check needs quadrature order >= 3")
-    span = GAUSSIAN_SPAN * max(sigmas)
     basis = build_basis(n_particles)
-    nodes, weights = _panel((order + 1) // 2, span, sigmas)
-    vectors = ground_states(n_particles, lam, nodes)[1]
-    table = moment_table(basis, vectors)
-    states = vectors.T if keep_states else None
-    moments = (weights @ table) * MIRROR_PAIR
+    nodes, weights = _panel((order + 1) // 2, max(sigmas), sigmas)
+    states = ground_states(n_particles, lam, nodes)[1]
+    moments = (weights @ moment_table(basis, states)) * MIRROR_PAIR
     drifting = np.full(len(sigmas), check)
     while drifting.any():
         order = 2 * order - 1
-        nodes, weights = _panel((order + 1) // 2, span, sigmas)
-        new = ground_states(n_particles, lam, nodes[1::2])[1]
+        nodes, weights = _panel((order + 1) // 2, max(sigmas), sigmas)
         # the coarse nodes are nodes[::2]: the new ones go in between
-        between = np.arange(1, len(table))
-        if keep_states:
-            states = np.insert(states, between, new.T, axis=0)
-        table = np.insert(table, between, moment_table(basis, new), axis=0)
-        finer = (weights @ table) * MIRROR_PAIR
+        new = ground_states(n_particles, lam, nodes[1::2])[1]
+        states = np.insert(states, np.arange(1, states.shape[1]), new, axis=1)
+        finer = (weights @ moment_table(basis, states)) * MIRROR_PAIR
         tol = CONVERGENCE_ATOL + CONVERGENCE_RTOL * np.abs(finer)
         drifting &= ~np.all(np.abs(moments - finer) <= tol, axis=1)
         moments = finer
@@ -139,18 +133,25 @@ def delta_column_moments(n_particles: int, lam: float, sigmas) -> list:
     """Moments of the tilt mixture at each sigma_delta of ``sigmas`` for one
     lambda, checked by node doubling: the nonzero ones on one shared panel
     (within ``MIN_SHARED_SIGMA_RATIO``), 0 the pure ground state.  A sigma
-    still drifting at ``MAX_QUAD_ORDER`` gets its ConvergenceError."""
+    still drifting at ``MAX_QUAD_ORDER`` gets its ConvergenceError, and every
+    sigma of a solve that raised gets the exception in place of its moments."""
     if not all(s >= 0 for s in sigmas):
         raise ValueError("sigma_delta must be nonnegative")
-    found = {}
-    if 0 in sigmas:
-        found[0.0] = compute_moments(ground_state(ModelParams(n_particles, lam, 0.0))[1])
     positive = sorted({s for s in sigmas if s > 0}, reverse=True)
+    groups = [[0.0]] if 0 in sigmas else []
     while positive:
-        shared = [s for s in positive if s >= MIN_SHARED_SIGMA_RATIO * positive[0]]
-        results = _tilt_column(n_particles, lam, shared, DEFAULT_QUAD_ORDER, True)[1]
-        found.update(zip(shared, results))
-        positive = positive[len(shared):]
+        groups.append([s for s in positive if s >= MIN_SHARED_SIGMA_RATIO * positive[0]])
+        positive = positive[len(groups[-1]):]
+    found = {}
+    for group in groups:
+        try:
+            if group[0] > 0:
+                results = _tilt_column(n_particles, lam, group, DEFAULT_QUAD_ORDER, True)[1]
+            else:
+                results = [compute_moments(ground_state(ModelParams(n_particles, lam, 0.0))[1])]
+        except Exception as exc:  # fails only the rows of this group
+            results = [exc] * len(group)
+        found.update(zip(group, results))
     return [found[s] for s in sigmas]
 
 
@@ -158,10 +159,7 @@ def delta_mixture_moments(n_particles: int, lam: float, sigma_delta: float) -> M
     """Moments of ``delta_mixture`` at its default order, with the node-doubling
     check: the one-sigma ``delta_column_moments``, reduced level by level
     without building the mixture's states."""
-    (moments,) = delta_column_moments(n_particles, lam, [sigma_delta])
-    if isinstance(moments, ConvergenceError):
-        raise moments
-    return moments
+    return _settled(delta_column_moments(n_particles, lam, [sigma_delta])[0])
 
 
 def delta_mixture(
@@ -173,7 +171,7 @@ def delta_mixture(
 ) -> StateEnsemble:
     """Mixture of tilted ground states under Gaussian delta fluctuations.
 
-    Split-at-zero tanh-sinh quadrature of the given (odd) total order, with
+    Split-at-zero exp-sinh quadrature of the given (odd) total order, with
     (order + 1) / 2 nodes per half-axis; only positive-tilt ground states
     are solved, the negative half follows from parity.  With ``check`` on, a
     node-doubling comparison guards the discretization: the order is
@@ -184,13 +182,12 @@ def delta_mixture(
         raise ValueError("sigma_delta must be nonnegative")
     if sigma_delta == 0:  # the pure ground state
         return thermal_ensemble(ModelParams(n_particles, lam, 0.0), 0.0)
-    states, (moments,) = _tilt_column(n_particles, lam, [sigma_delta], order, check, True)
-    if isinstance(moments, ConvergenceError):
-        raise moments
+    states, (moments,) = _tilt_column(n_particles, lam, [sigma_delta], order, check)
+    _settled(moments)
     # rows: the mirrored states at the negative nodes, then the positive ones
-    rows = np.vstack([states[::-1, ::-1], states])
+    rows = np.vstack([states.T[::-1, ::-1], states.T])
     basis = build_basis(n_particles)
-    rule = split_gaussian_rule(len(states), sigma_delta)
+    rule = split_gaussian_rule(states.shape[1], sigma_delta)
     return StateEnsemble(tuple(SpinState(basis, row) for row in rows), rule.weights)
 
 

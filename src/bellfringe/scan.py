@@ -34,7 +34,7 @@ from .josephson import (
     ground_state,
     low_spectrum,
 )
-from .noise import blur_visibility, delta_column_moments
+from .noise import _settled, blur_visibility, delta_column_moments
 from .spin_core import Moments, _is_integer, build_basis, compute_moments, moment_table
 from .spin_core import rotate_pi2_about_x
 from .witnesses import VisibilityError, build_report, phase_squeezing, visibility
@@ -269,7 +269,8 @@ def _column_source(spec: ScanSpec, lam: float, rotate: bool, cache):
     """The work one lambda column shares; returns noise value -> moments."""
     n = spec.n_particles
     if spec.mode == "delta_mixture":  # one tilt grid for the whole column
-        return dict(zip(spec.noise_grid, delta_column_moments(n, lam, spec.noise_grid))).get
+        found = dict(zip(spec.noise_grid, delta_column_moments(n, lam, spec.noise_grid)))
+        return lambda sigma_delta: _settled(found[sigma_delta])
     params = ModelParams(n, lam, 0.0)
     if spec.mode != "thermal":
         moments = compute_moments(ground_state(params)[1])
@@ -304,8 +305,6 @@ def _scan_one_lambda(spec: ScanSpec, lam: float, cache=None) -> list:
     for value in spec.noise_grid:
         try:
             moments = moments_at(value)
-            if isinstance(moments, Exception):  # a point its column could not settle
-                raise moments
             nu = visibility(moments, spec.n_particles)
             if spec.mode == "blurred":
                 nu = blur_visibility(nu, spec.k_fringe, value)

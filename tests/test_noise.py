@@ -25,8 +25,8 @@ from oracles import tanh_sinh_delta_moments
 
 
 class TestSplitGaussianRule:
-    # the tanh-sinh panel reaches 1.8e-12 on these at 81 points per
-    # half-axis (6e-5 at 31)
+    # the exp-sinh panel reaches 2e-11 on these at 81 points per
+    # half-axis (4e-4 at 31)
     def test_moments_of_gaussian(self):
         sigma = 0.4
         rule = split_gaussian_rule(81, sigma)

@@ -9,6 +9,7 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import bellfringe
 from bellfringe import (
@@ -29,7 +30,7 @@ from bellfringe import (
     split_gaussian_rule,
     visibility,
 )
-from bellfringe import cli, noise
+from bellfringe import cli, josephson, noise
 from bellfringe.cli import main as cli_main
 from bellfringe.scan import (
     CSV_HEADER,
@@ -207,14 +208,14 @@ class TestRunScan:
         assert rows[1].b_param > rows[0].b_param
 
     def test_unconverged_sigma_marks_only_its_row(self, monkeypatch):
-        # on the column's panel the narrower sigma_delta settles one doubling
-        # later than the wider one; with the cap lowered it does not
+        # on the column's panel a sigma_delta a hundredth of the widest
+        # settles one doubling later; with the cap lowered it does not
         spec = ScanSpec(
             n_particles=40,
-            lambda_grid=(-0.9,),
+            lambda_grid=(-1.2,),
             mode="delta_mixture",
             noise_axis="sigma_delta",
-            noise_grid=(0.0, 0.02, 0.08),
+            noise_grid=(0.0, 0.001, 0.1),
         )
         settled = run_scan(spec)
         monkeypatch.setattr(noise, "MAX_QUAD_ORDER", 161)
@@ -222,11 +223,35 @@ class TestRunScan:
         assert [r.error for r in settled] == ["", "", ""]
         assert capped[1].error == (
             "ConvergenceError: delta mixture not converged at quadrature order 161"
-            " (lam=-0.9, sigma_delta=0.02)"
+            " (lam=-1.2, sigma_delta=0.001)"
         )
         assert capped[0] == settled[0]
         assert capped[2].error == ""
         assert capped[2].b_param == pytest.approx(settled[2].b_param, rel=1e-6)
+
+    def test_failed_tilt_solve_spares_the_ground_row(self, monkeypatch):
+        # a corrupted eigenpair fails the eigenpair check of the tilt panel;
+        # the sigma_delta = 0 row has its own solve and keeps its value
+        spec = ScanSpec(
+            n_particles=40,
+            lambda_grid=(-0.5,),
+            mode="delta_mixture",
+            noise_axis="sigma_delta",
+            noise_grid=(0.0, 0.02, 0.05),
+        )
+        clean = run_scan(spec)
+        calls = []
+
+        def perturbed(*args, **kwargs):
+            w, v = eigh_tridiagonal(*args, **kwargs)
+            calls.append(None)
+            return (w + 1e-3, v) if len(calls) == 30 else (w, v)
+
+        monkeypatch.setattr(josephson, "eigh_tridiagonal", perturbed)
+        rows = run_scan(spec)
+        assert rows[0] == clean[0] and rows[0].error == ""
+        for row in rows[1:]:
+            assert row.error.startswith("ConvergenceError: ")
 
     def test_threaded_matches_serial(self):
         spec = ground_spec([-1.2, -0.9, -0.3, 0.0, 2.0, 8.0])
