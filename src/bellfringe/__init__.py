@@ -58,10 +58,7 @@ from .analytics import (  # noqa: F401
 )
 from .fringe_mc import (  # noqa: F401
     FringeParams,
-    density,
     draw_shot_phase,
-    fit_phase,
-    sample_shot,
     verify_sensitivity,
 )
 from .scan import (  # noqa: F401

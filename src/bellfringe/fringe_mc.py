@@ -1,12 +1,12 @@
 """Monte-Carlo bench for the interference experiment.
 
 Each simulated shot draws a fringe phase (the quantum shot-to-shot
-fluctuation, normal with variance xi^2/N), bins N atoms from the one-body
-density 1 + nu cos(kx + phase), and fits the phase back by least squares,
-which over whole fringe periods is a closed-form Fourier projection of the
-histogram.  The fit reads only the bin counts, and given the shot phase
-these follow exactly a multinomial law over the bins, so the bench draws
-the counts of each shot directly instead of N positions.  The sample
+fluctuation, normal with variance xi^2/N) and the histogram of N atoms
+from the one-body density 1 + nu cos(kx + phase), then fits the phase back
+by least squares, which over whole fringe periods is a closed-form Fourier
+projection of the histogram (``fit_counts``, the one fit).  Given the shot
+phase the N positions are i.i.d., so the histogram is exactly one
+multinomial draw over the fit's bins, and no position is sampled.  The sample
 variance of the fitted phase over many shots is compared against the
 closed-form sensitivity prediction, and can be set against the
 least-squares and Cramer-Rao reference variances (Pezze et al., Rev. Mod.
@@ -25,12 +25,8 @@ from .witnesses import _require_nu_range, sensitivity
 
 __all__ = [
     "FringeParams",
-    "FitResult",
     "SensitivityResult",
-    "density",
-    "sample_shot",
     "draw_shot_phase",
-    "fit_phase",
     "wrap_phase",
     "bin_probabilities",
     "sample_counts",
@@ -42,9 +38,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-MIN_FIT_POSITIONS = 100
-# relative tolerance on window * k / (2 pi) being a whole number of periods
-WHOLE_PERIODS_RTOL = 1e-9
 # shots per multinomial draw and projection in verify_sensitivity; results do
 # not depend on it, and small chunks keep the (shots x bins) arrays small
 SHOT_CHUNK = 64
@@ -75,58 +68,18 @@ class FringeParams:
 
 
 @dataclass(frozen=True)
-class FitResult:
-    phi_est: float
-    nu_fit: float
-    residual: float
-
-
-@dataclass(frozen=True)
 class SensitivityResult:
     empirical_variance: float
     predicted_variance: float
     mean_deviation: float
     std_error: float
     n_shots: int
-    # always 0: the projection fit has no failure mode; kept for the report
-    n_failed: int
-
-
-def density(x, nu: float, phi: float, k: float):
-    """One-body fringe density 1 + nu cos(kx + phi) (mean 1 per period)."""
-    _require_nu_range(nu)
-    return 1.0 + nu * np.cos(k * np.asarray(x) + phi)
-
-
-def sample_shot(params: FringeParams, shot_phase: float, rng_seed) -> np.ndarray:
-    """Atom positions of one shot, i.i.d. draws from the fringe density by
-    rejection sampling with the flat envelope 1 + nu.
-
-    Deterministic for a given seed (or Generator) and parameter set.
-    """
-    if not math.isfinite(shot_phase):
-        raise ValueError(f"shot_phase must be finite, got {shot_phase!r}")
-    rng = np.random.default_rng(rng_seed)
-    envelope = 1.0 + params.nu
-    out = np.empty(params.n_atoms)
-    filled = 0
-    # batch size chosen so one or two rounds usually suffice
-    batch = max(64, int(1.3 * envelope * params.n_atoms))
-    while filled < params.n_atoms:
-        x = rng.uniform(0.0, params.window, batch)
-        u = rng.uniform(0.0, envelope, batch)
-        accepted = x[u < density(x, params.nu, shot_phase, params.k)]
-        take = min(len(accepted), params.n_atoms - filled)
-        out[filled : filled + take] = accepted[:take]
-        filled += take
-    return out
 
 
 def draw_shot_phase(phi: float, xi2: float, n_atoms: int, rng_seed, size=None):
     """True phase plus the quantum fluctuation, normal with variance
     xi^2 / n_atoms; with ``size`` an array of that many shot phases."""
-    if not (math.isfinite(xi2) and xi2 >= 0):
-        raise ValueError(f"xi2 must be finite and >= 0, got {xi2!r}")
+    _require_xi2(xi2)
     if xi2 == 0:
         return phi if size is None else np.full(size, float(phi))
     return phi + np.random.default_rng(rng_seed).normal(
@@ -134,20 +87,30 @@ def draw_shot_phase(phi: float, xi2: float, n_atoms: int, rng_seed, size=None):
     )
 
 
-def _bin_layout(k: float, window: float, n_atoms: int) -> np.ndarray:
-    """The fit's bins for N atoms, n_periods * ceil(sqrt(N)) equal bins over
-    [0, window], as the (2, M) array [cos kx_c, sin kx_c] at the bin centres.
-    The window must hold a whole number of periods (``ValueError`` otherwise).
-    """
-    periods = window * k / TWO_PI
-    n_periods = round(periods)
-    if n_periods < 1 or abs(periods - n_periods) > WHOLE_PERIODS_RTOL * periods:
-        raise ValueError(
-            f"window holds {periods!r} periods; the fit needs a whole number"
-        )
-    # the edges np.histogram uses for range=(0, window)
-    edges = np.linspace(0.0, window, n_periods * math.ceil(math.sqrt(n_atoms)) + 1)
-    kx = k * (0.5 * (edges[:-1] + edges[1:]))
+def _require_xi2(xi2) -> None:
+    if not (math.isfinite(xi2) and xi2 >= 0):
+        raise ValueError(f"xi2 must be finite and >= 0, got {xi2!r}")
+
+
+def _require_bench_ranges(params: FringeParams, xi2, n_shots) -> None:
+    """The ranges the bench runs in, one check for ``verify_sensitivity`` and
+    for every command's "mc" block: nu inside the fit-regime guard
+    (0.2, 0.98), n_shots an integer >= 1000 and xi2 finite and >= 0."""
+    if not 0.2 < params.nu < 0.98:
+        raise ValueError("nu outside the fit-regime guard (0.2, 0.98)")
+    if not _is_integer(n_shots) or n_shots < 1000:
+        raise ValueError(f"n_shots must be an integer >= 1000, got {n_shots!r}")
+    _require_xi2(xi2)
+
+
+def _bin_layout(params: FringeParams) -> np.ndarray:
+    """The fit's bins for ``params``, n_periods * ceil(sqrt(N)) equal bins
+    over the window, as the (2, M) array [cos kx_c, sin kx_c] at the bin
+    centres.  The window holds n_periods whole periods by construction."""
+    n_bins = params.n_periods * math.ceil(math.sqrt(params.n_atoms))
+    # the edges np.histogram uses for range=(0, window), so positions bin alike
+    edges = np.linspace(0.0, params.window, n_bins + 1)
+    kx = params.k * (0.5 * (edges[:-1] + edges[1:]))
     return np.stack([np.cos(kx), np.sin(kx)])
 
 
@@ -176,38 +139,6 @@ def wrap_phase(phi):
     return float(w) if np.ndim(phi) == 0 else w
 
 
-def fit_phase(
-    positions: np.ndarray,
-    k: float,
-    window: float,
-    fit_visibility: bool = True,
-    nu_fixed: float = None,
-) -> FitResult:
-    """Least-squares fit of 1 + nu cos(kx + phi) to the binned histogram.
-
-    The model is linear in (nu cos phi, nu sin phi), and over whole periods
-    the cos kx and sin kx bin columns are orthogonal with squared norm M/2
-    (M bins), so the least-squares solution is the Fourier projection
-    c = (2/M) sum (h-1) cos kx, s = (2/M) sum (h-1) sin kx, giving
-    phi = atan2(-s, c) and nu = hypot(c, s).  With ``fit_visibility`` off
-    the contrast is held at ``nu_fixed``; over whole periods that does not
-    move the optimal phase.  The projection has no failure mode.  The window
-    must hold a whole number of periods (``ValueError`` otherwise).
-    """
-    positions = np.asarray(positions)
-    if len(positions) < MIN_FIT_POSITIONS:
-        raise ValueError(f"need at least {MIN_FIT_POSITIONS} positions to fit")
-    if not fit_visibility and nu_fixed is None:
-        raise ValueError("nu_fixed required when fit_visibility is off")
-    waves = _bin_layout(k, window, len(positions))
-    counts, _ = np.histogram(positions, bins=waves.shape[1], range=(0.0, window))
-    excess, (c, s) = _project(counts, len(positions), waves)
-    phi = math.atan2(-s, c)
-    nu = math.hypot(c, s) if fit_visibility else float(nu_fixed)
-    r = nu * _modulation(waves, phi) - excess
-    return FitResult(phi_est=wrap_phase(phi), nu_fit=nu, residual=float(np.dot(r, r)))
-
-
 def bin_probabilities(params: FringeParams, shot_phases, waves: np.ndarray):
     """Probability that an atom lands in each fit bin, one row per shot phase.
 
@@ -233,8 +164,15 @@ def sample_counts(params: FringeParams, shot_phases, waves: np.ndarray, rng):
 
 
 def fit_counts(counts, n_atoms: int, waves: np.ndarray) -> np.ndarray:
-    """Fitted phase of each row of bin counts, by the projection that
-    ``fit_phase`` applies to one histogram."""
+    """Least-squares phase of each row of bin counts, the bench's one fit.
+
+    The model 1 + nu cos(kx + phi) is linear in (nu cos phi, nu sin phi), and
+    over whole periods the cos kx and sin kx bin columns are orthogonal with
+    squared norm M/2 (M bins), so the least-squares solution is the Fourier
+    projection (c, s) of ``_project``, with phi = atan2(-s, c) and
+    nu = hypot(c, s).  Holding nu fixed does not move the optimal phase, and
+    the projection has no failure mode.
+    """
     _, cs = _project(counts, n_atoms, waves)
     return np.arctan2(-cs[..., 1], cs[..., 0])
 
@@ -251,14 +189,10 @@ def verify_sensitivity(
     The stream is consumed in shot order, so the result depends on the seed
     and not on the chunk size.
     """
-    if not 0.2 < params.nu < 0.98:
-        raise ValueError("nu outside the fit-regime guard (0.2, 0.98)")
-    if not _is_integer(n_shots) or n_shots < 1000:
-        raise ValueError(f"n_shots must be an integer >= 1000, got {n_shots!r}")
-
+    _require_bench_ranges(params, xi2, n_shots)
     rng = np.random.default_rng(rng_seed)
     phases = draw_shot_phase(params.phi, xi2, params.n_atoms, rng, size=n_shots)
-    waves = _bin_layout(params.k, params.window, params.n_atoms)
+    waves = _bin_layout(params)
     fitted = [
         fit_counts(sample_counts(params, chunk, waves, rng), params.n_atoms, waves)
         for chunk in np.split(phases, range(SHOT_CHUNK, n_shots, SHOT_CHUNK))
@@ -272,7 +206,6 @@ def verify_sensitivity(
         mean_deviation=float(dev.mean()),
         std_error=float(dev.std(ddof=1) / math.sqrt(len(dev))),
         n_shots=n_shots,
-        n_failed=0,
     )
 
 

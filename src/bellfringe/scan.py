@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .fringe_mc import FringeParams
+from .fringe_mc import FringeParams, _require_bench_ranges
 from .josephson import (
     THERMAL_WEIGHT_CUTOFF,
     ModelParams,
@@ -169,8 +169,8 @@ class ScanSpec:
 
 def _mc_settings(mc, flags=None) -> tuple[dict, FringeParams]:
     """``MC_DEFAULTS`` updated by an "mc" block (None is an empty one), then
-    by the ``flags`` that are not None: the checked settings and their
-    ``FringeParams``."""
+    by the ``flags`` that are not None: the settings, checked by type and
+    by the bench's ranges, and their ``FringeParams``."""
     if not (mc is None or isinstance(mc, dict) and mc.keys() <= MC_KEYS):
         raise ValueError(f"mc must be an object with keys {sorted(MC_KEYS)}, got {mc!r}")
     settings = {**MC_DEFAULTS, **(mc or {})}
@@ -181,7 +181,9 @@ def _mc_settings(mc, flags=None) -> tuple[dict, FringeParams]:
             kind = "an integer" if integral else "a number"
             raise ValueError(f"mc {key} must be {kind}, got {value!r}")
     fields = ("nu", "phi", "k", "n_atoms", "n_periods")
-    return settings, FringeParams(**{key: settings[key] for key in fields})
+    params = FringeParams(**{key: settings[key] for key in fields})
+    _require_bench_ranges(params, settings["xi2"], settings["n_shots"])
+    return settings, params
 
 
 def _is_real(value) -> bool:

@@ -1,6 +1,7 @@
 """Independent brute-force references: dense complex spin matrices and
-expectation values, kept deliberately separate from the library's O(N)
-paths so they can arbitrate them."""
+expectation values, a fine tanh-sinh tilt mixture, and fringe positions by
+rejection sampling, kept deliberately separate from the library's paths so
+they can arbitrate them."""
 
 import numpy as np
 from scipy.linalg import expm
@@ -86,3 +87,37 @@ def tanh_sinh_delta_moments(n_particles: int, lam: float, sigma: float, half: in
         total += weight * np.array([(psi @ op @ psi).real for op in ops])
     total[2] = 0.0  # the mirrored half cancels <Jz>
     return total
+
+
+def fringe_density(x, nu: float, phi: float, k: float):
+    """One-body fringe density 1 + nu cos(kx + phi), mean 1 per period; a
+    contrast outside [0, 1] is refused, since the density would go negative."""
+    if not 0.0 <= nu <= 1.0:
+        raise ValueError(f"contrast nu must lie in [0, 1], got {nu!r}")
+    return 1.0 + nu * np.cos(k * np.asarray(x) + phi)
+
+
+def sample_positions(params, shot_phase: float, rng_seed) -> np.ndarray:
+    """``params.n_atoms`` i.i.d. positions on [0, params.window] drawn from
+    the fringe density by rejection sampling under the flat envelope 1 + nu.
+
+    An independent reference for the bench's multinomial bin counts: binned
+    on the fit's bins, one shot's positions follow ``bin_probabilities``.
+    """
+    if not np.isfinite(shot_phase):
+        # no density value compares true against a nan: nothing is accepted
+        raise ValueError(f"shot_phase must be finite, got {shot_phase!r}")
+    rng = np.random.default_rng(rng_seed)
+    envelope = 1.0 + params.nu
+    out = np.empty(params.n_atoms)
+    filled = 0
+    # batch size chosen so one or two rounds usually suffice
+    batch = max(64, int(1.3 * envelope * params.n_atoms))
+    while filled < params.n_atoms:
+        x = rng.uniform(0.0, params.window, batch)
+        u = rng.uniform(0.0, envelope, batch)
+        accepted = x[u < fringe_density(x, params.nu, shot_phase, params.k)]
+        take = min(len(accepted), params.n_atoms - filled)
+        out[filled : filled + take] = accepted[:take]
+        filled += take
+    return out

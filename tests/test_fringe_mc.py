@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import optimize, stats
 
-from bellfringe import (
-    FringeParams,
-    blur_visibility,
-    density,
-    draw_shot_phase,
-    fit_phase,
-    sample_shot,
-    verify_sensitivity,
-)
+from bellfringe import FringeParams, blur_visibility, draw_shot_phase, verify_sensitivity
 from bellfringe import fringe_mc
 from bellfringe.fringe_mc import wrap_phase
+from oracles import fringe_density, sample_positions
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,34 +19,46 @@ def make_params(**kw):
     return FringeParams(**base)
 
 
+def fit_bins(p):
+    """Edges of the fit's bins for ``p`` and their [cos kx_c, sin kx_c]."""
+    waves = fringe_mc._bin_layout(p)
+    return np.linspace(0.0, p.window, waves.shape[1] + 1), waves
+
+
+def fit_positions(p, x):
+    """Phase and Fourier components (c, s) of positions ``x``, binned on the
+    fit's bins for ``p``."""
+    edges, waves = fit_bins(p)
+    counts = np.histogram(x, bins=edges)[0]
+    _, (c, s) = fringe_mc._project(counts, len(x), waves)
+    return float(fringe_mc.fit_counts(counts, len(x), waves)), c, s
+
+
 class TestDensity:
+    """The oracle density that the rejection sampler draws from."""
+
     def test_values(self):
-        assert density(0.0, 0.5, 0.0, 1.0) == pytest.approx(1.5)
-        assert density(math.pi, 0.5, 0.0, 1.0) == pytest.approx(0.5)
+        assert fringe_density(0.0, 0.5, 0.0, 1.0) == pytest.approx(1.5)
+        assert fringe_density(math.pi, 0.5, 0.0, 1.0) == pytest.approx(0.5)
 
     def test_mean_over_period(self):
         x = np.linspace(0.0, TWO_PI, 100001)
-        assert np.trapezoid(density(x, 0.7, 1.1, 1.0), x) / TWO_PI == pytest.approx(
-            1.0, abs=1e-6
-        )
+        mean = np.trapezoid(fringe_density(x, 0.7, 1.1, 1.0), x) / TWO_PI
+        assert mean == pytest.approx(1.0, abs=1e-6)
 
     def test_nonnegative(self):
         x = np.linspace(0.0, 10.0, 1000)
-        assert np.all(density(x, 1.0, 0.4, 3.0) >= 0.0)
+        assert np.all(fringe_density(x, 1.0, 0.4, 3.0) >= 0.0)
 
     def test_rejects_bad_contrast(self):
         with pytest.raises(ValueError):
-            density(0.0, 1.2, 0.0, 1.0)
+            fringe_density(0.0, 1.2, 0.0, 1.0)
 
 
 @pytest.mark.parametrize(
     "accepts_nu",
-    [
-        lambda nu: density(0.0, nu, 0.0, 1.0),
-        lambda nu: make_params(nu=nu),
-        lambda nu: blur_visibility(nu, 1.0, 0.1),
-    ],
-    ids=["density", "FringeParams", "blur_visibility"],
+    [lambda nu: make_params(nu=nu), lambda nu: blur_visibility(nu, 1.0, 0.1)],
+    ids=["FringeParams", "blur_visibility"],
 )
 def test_one_nu_range_rule(accepts_nu):
     for nu in (0.0, 1.0):
@@ -103,24 +108,26 @@ class TestParams:
 
 
 class TestSampler:
+    """The oracle rejection sampler of fringe positions."""
+
     def test_deterministic(self):
         p = make_params()
-        a = sample_shot(p, 0.2, 42)
-        b = sample_shot(p, 0.2, 42)
+        a = sample_positions(p, 0.2, 42)
+        b = sample_positions(p, 0.2, 42)
         assert np.array_equal(a, b)
-        c = sample_shot(p, 0.2, 43)
+        c = sample_positions(p, 0.2, 43)
         assert not np.array_equal(a, c)
 
     def test_positions_in_window(self):
         p = make_params(n_atoms=5000)
-        x = sample_shot(p, 0.0, 1)
+        x = sample_positions(p, 0.0, 1)
         assert len(x) == 5000
         assert x.min() >= 0.0 and x.max() <= p.window
 
     def test_uniform_when_flat(self):
         # nu = 0 is a uniform density: KS test should not reject
         p = make_params(nu=0.0, n_atoms=20000)
-        x = sample_shot(p, 0.0, 7)
+        x = sample_positions(p, 0.0, 7)
         stat = stats.kstest(x / p.window, "uniform")
         assert stat.pvalue > 0.01
 
@@ -128,11 +135,11 @@ class TestSampler:
         # chi-square of binned counts against the model at nu = 0.8
         p = make_params(nu=0.8, n_atoms=200000, n_periods=4)
         phase = 0.9
-        x = sample_shot(p, phase, 11)
+        x = sample_positions(p, phase, 11)
         n_bins = 64
         counts, edges = np.histogram(x, bins=n_bins, range=(0.0, p.window))
         centers = 0.5 * (edges[:-1] + edges[1:])
-        model = density(centers, p.nu, phase, p.k)
+        model = fringe_density(centers, p.nu, phase, p.k)
         expected = model / model.sum() * len(x)
         chi2 = ((counts - expected) ** 2 / expected).sum()
         # dof = 63; 99.9% quantile ~ 103
@@ -145,7 +152,7 @@ class TestSampler:
         n = 200000
         x = rng.uniform(0.0, p.window, n)
         u = rng.uniform(0.0, 1.0 + p.nu, n)
-        rate = np.mean(u < density(x, p.nu, 0.0, p.k))
+        rate = np.mean(u < fringe_density(x, p.nu, 0.0, p.k))
         assert rate == pytest.approx(1.0 / 1.6, rel=0.02)
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf])
@@ -153,7 +160,7 @@ class TestSampler:
         # no density value compares true against a nan, so rejection would
         # never accept a position
         with pytest.raises(ValueError, match="shot_phase"):
-            sample_shot(make_params(), phase, 0)
+            sample_positions(make_params(), phase, 0)
 
 
 class TestShotPhase:
@@ -193,40 +200,37 @@ class TestWrapPhase:
 
 
 class TestFitPhase:
+    """``fit_counts`` on histograms of oracle-sampled positions."""
+
     def test_recovers_exact_model(self):
-        # positions drawn by inverse-CDF-free trick: feed a huge synthetic
-        # sample so the histogram converges to the model, then require the
-        # fit to land on the true parameters
+        # a huge sample so the histogram converges to the model: the fit
+        # must land on the true parameters
         p = make_params(nu=0.7, n_atoms=500000, n_periods=4)
-        phase = 0.8
-        x = sample_shot(p, phase, 21)
-        fit = fit_phase(x, p.k, p.window)
-        assert wrap_phase(fit.phi_est - phase) == pytest.approx(0.0, abs=5e-3)
-        assert fit.nu_fit == pytest.approx(0.7, abs=5e-3)
+        phi, c, s = fit_positions(p, sample_positions(p, 0.8, 21))
+        assert wrap_phase(phi - 0.8) == pytest.approx(0.0, abs=5e-3)
+        assert math.hypot(c, s) == pytest.approx(0.7, abs=5e-3)
 
     def test_fixed_visibility_mode(self):
+        # over whole periods, holding nu at any fixed value leaves the
+        # fitted phase a stationary minimum of the fixed-nu residual
         p = make_params(nu=0.7, n_atoms=200000, n_periods=4)
-        x = sample_shot(p, -0.5, 9)
-        fit = fit_phase(x, p.k, p.window, fit_visibility=False, nu_fixed=0.7)
-        assert fit.nu_fit == pytest.approx(0.7)
-        assert wrap_phase(fit.phi_est + 0.5) == pytest.approx(0.0, abs=1e-2)
-
-    def test_fixed_mode_requires_nu(self):
-        p = make_params()
-        x = sample_shot(p, 0.0, 2)
-        with pytest.raises(ValueError):
-            fit_phase(x, p.k, p.window, fit_visibility=False)
-
-    def test_too_few_positions(self):
-        with pytest.raises(ValueError):
-            fit_phase(np.linspace(0, 1, 50), 1.0, TWO_PI)
+        x = sample_positions(p, -0.5, 9)
+        phi, _, _ = fit_positions(p, x)
+        kx, excess = binned_excess(x, p.k, p.n_periods)
+        assert wrap_phase(phi + 0.5) == pytest.approx(0.0, abs=1e-2)
+        for nu in (0.3, 0.7, 1.0):
+            r = nu * np.cos(kx + phi) - excess
+            assert 2.0 * nu * np.dot(r, np.sin(kx + phi)) == pytest.approx(0.0, abs=1e-9)
+            for step in (-1e-3, 1e-3):
+                shifted = nu * np.cos(kx + phi + step) - excess
+                assert shifted @ shifted > r @ r
 
     def test_phase_wrap_invariance(self):
         # shifting the true phase by 2 pi must not move the estimate
         p = make_params(nu=0.8, n_atoms=50000, n_periods=4)
-        a = fit_phase(sample_shot(p, 0.4, 31), p.k, p.window)
-        b = fit_phase(sample_shot(p, 0.4 + TWO_PI, 31), p.k, p.window)
-        assert wrap_phase(a.phi_est - b.phi_est) == pytest.approx(0.0, abs=1e-9)
+        a, _, _ = fit_positions(p, sample_positions(p, 0.4, 31))
+        b, _, _ = fit_positions(p, sample_positions(p, 0.4 + TWO_PI, 31))
+        assert wrap_phase(a - b) == pytest.approx(0.0, abs=1e-9)
 
 
 def binned_excess(x, k, n_periods):
@@ -250,21 +254,28 @@ fringe_shots = st.builds(
 
 
 class TestFitOracle:
+    """``fit_counts`` and ``_project``'s (c, s) against two independent
+    least-squares references on the same binned positions."""
+
     @settings(max_examples=80, deadline=None)
     @given(fringe_shots, st.integers(0, 2**32 - 1))
     def test_free_visibility_matches_lstsq(self, p, seed):
-        x = sample_shot(p, p.phi, seed)
+        x = sample_positions(p, p.phi, seed)
         kx, excess = binned_excess(x, p.k, p.n_periods)
         design = np.column_stack([np.cos(kx), -np.sin(kx)])
         (nu_cos, nu_sin), *_ = np.linalg.lstsq(design, excess, rcond=None)
-        fit = fit_phase(x, p.k, p.window)
-        assert fit.nu_fit * math.cos(fit.phi_est) == pytest.approx(nu_cos, abs=1e-10)
-        assert fit.nu_fit * math.sin(fit.phi_est) == pytest.approx(nu_sin, abs=1e-10)
+        phi, c, s = fit_positions(p, x)
+        assert c == pytest.approx(nu_cos, abs=1e-10)
+        assert -s == pytest.approx(nu_sin, abs=1e-10)
+        nu = math.hypot(c, s)
+        assert nu * math.cos(phi) == pytest.approx(nu_cos, abs=1e-10)
+        assert nu * math.sin(phi) == pytest.approx(nu_sin, abs=1e-10)
 
     @settings(max_examples=80, deadline=None)
     @given(fringe_shots.filter(lambda p: p.nu >= 0.2), st.integers(0, 2**32 - 1))
     def test_fixed_visibility_matches_scalar_minimisation(self, p, seed):
-        x = sample_shot(p, p.phi, seed)
+        # over whole periods, holding nu fixed does not move the optimal phase
+        x = sample_positions(p, p.phi, seed)
         kx, excess = binned_excess(x, p.k, p.n_periods)
 
         def sse(phi):
@@ -280,17 +291,16 @@ class TestFitOracle:
             method="bounded",
             options={"xatol": 1e-12},
         )
-        fit = fit_phase(x, p.k, p.window, fit_visibility=False, nu_fixed=p.nu)
-        assert fit.nu_fit == p.nu
-        assert fit.residual == pytest.approx(sse(fit.phi_est), rel=1e-12)
-        assert fit.residual <= best.fun * (1.0 + 1e-12)
-        assert wrap_phase(fit.phi_est - best.x) == pytest.approx(0.0, abs=1e-6)
+        phi, _, _ = fit_positions(p, x)
+        assert sse(phi) <= best.fun * (1.0 + 1e-12)
+        assert wrap_phase(phi - best.x) == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("periods", [0.4, 2.5, 8.0 * (1.0 + 1e-7)])
     def test_partial_period_window_rejected(self, periods):
-        x = sample_shot(make_params(n_periods=8), 0.0, 4)
-        with pytest.raises(ValueError, match="whole number"):
-            fit_phase(x, 2.0, periods * TWO_PI / 2.0)
+        # the window is n_periods whole periods, so a partial one is refused
+        # where it is set
+        with pytest.raises(ValueError, match="n_periods"):
+            make_params(n_periods=periods)
 
 
 class TestVerifySensitivity:
@@ -299,7 +309,6 @@ class TestVerifySensitivity:
         res = verify_sensitivity(p, 1.0, 1000, 123)
         again = verify_sensitivity(p, 1.0, 1000, 123)
         assert res == again
-        assert res.n_failed == 0
         # fitted phases are centered on the truth within 4 standard errors
         assert abs(res.mean_deviation) < 4 * res.std_error
 
@@ -335,12 +344,6 @@ class TestVerifySensitivity:
             verify_sensitivity(make_params(nu=0.9), 1.0, n_shots, 0)
 
 
-def fit_bins(p):
-    """Edges of the fit's bins for ``p`` and their [cos kx_c, sin kx_c]."""
-    waves = fringe_mc._bin_layout(p.k, p.window, p.n_atoms)
-    return np.linspace(0.0, p.window, waves.shape[1] + 1), waves
-
-
 class TestMultinomialBench:
     @pytest.mark.parametrize(
         "nu, k, n_atoms, n_periods",
@@ -359,7 +362,7 @@ class TestMultinomialBench:
         half = 0.5 * np.diff(edges)
         x = (edges[:-1] + half)[:, None] + half[:, None] * nodes
         for phase, row in zip(phases, prob):
-            integral = (density(x, nu, phase, k) @ weights) * half / p.window
+            integral = (fringe_density(x, nu, phase, k) @ weights) * half / p.window
             assert np.max(np.abs(row - integral)) < 1e-14
 
     def test_sampled_histograms_follow_the_probabilities(self):
@@ -369,23 +372,13 @@ class TestMultinomialBench:
         rng = np.random.default_rng(17)
         counts = np.array(
             [
-                np.histogram(sample_shot(p, phase, rng), bins=edges)[0]
+                np.histogram(sample_positions(p, phase, rng), bins=edges)[0]
                 for _ in range(shots)
             ]
         )
         expected = p.n_atoms * fringe_mc.bin_probabilities(p, phase, waves)
         se = np.sqrt(expected * (1.0 - expected / p.n_atoms) / shots)
         assert np.all(np.abs(counts.mean(axis=0) - expected) < 5.0 * se)
-
-    def test_batched_fit_matches_fit_phase(self):
-        p = make_params(nu=0.7, n_atoms=800, n_periods=5)
-        edges, waves = fit_bins(p)
-        shots = [sample_shot(p, phase, seed) for seed, phase in enumerate((-3.1, 0.2, 2.0))]
-        counts = np.array([np.histogram(x, bins=edges)[0] for x in shots])
-        batched = fringe_mc.fit_counts(counts, p.n_atoms, waves)
-        for x, phi in zip(shots, batched):
-            single = fit_phase(x, p.k, p.window).phi_est
-            assert wrap_phase(phi - single) == pytest.approx(0.0, abs=1e-12)
 
     def test_result_does_not_depend_on_chunk_size(self, monkeypatch):
         p = make_params(nu=0.85, phi=-0.4, n_atoms=700)
@@ -402,3 +395,20 @@ class TestMultinomialBench:
         ratio = res.empirical_variance / fringe_mc.least_squares_variance(xi2, nu, n_atoms)
         assert abs(ratio - 1.0) < 5.0 * math.sqrt(2.0 / (shots - 1))
         assert abs(res.mean_deviation) < 5.0 * res.std_error
+
+    def test_binned_positions_pass_pearson_chi2(self):
+        # one large shot of oracle positions on the fit's own bins follows
+        # n_atoms * bin_probabilities, and a phase 0.2 off is rejected
+        p = make_params(nu=0.8, n_atoms=200000, n_periods=4)
+        edges, waves = fit_bins(p)
+        counts = np.histogram(sample_positions(p, 0.9, 13), bins=edges)[0]
+        for phase, accepted in ((0.9, True), (1.1, False)):
+            expected = p.n_atoms * fringe_mc.bin_probabilities(p, phase, waves)
+            assert (stats.chisquare(counts, expected).pvalue > 1e-3) == accepted
+
+    def test_flat_positions_pass_pearson_chi2_against_uniform(self):
+        p = make_params(nu=0.0, n_atoms=200000, n_periods=4)
+        edges, waves = fit_bins(p)
+        counts = np.histogram(sample_positions(p, 0.9, 14), bins=edges)[0]
+        expected = np.full(len(counts), p.n_atoms / len(counts))
+        assert stats.chisquare(counts, expected).pvalue > 1e-3

@@ -685,6 +685,26 @@ class TestCli:
         assert cli_main(["mc-verify", "--config", cfg, "--n-atoms", "200"]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mc, code",
+        [
+            ({"n_shots": 1000}, 0),
+            ({"nu": 0.25, "xi2": 0.0, "n_shots": 1000}, 0),
+            ({"n_shots": 10}, 1),
+            ({"n_shots": 1000.0}, 1),
+            ({"nu": 0.1}, 1),
+            ({"nu": 0.98}, 1),
+            ({"xi2": -1}, 1),
+            ({"nu": "abc"}, 1),
+        ],
+    )
+    def test_scan_and_mc_verify_refuse_the_same_mc_blocks(self, tmp_path, mc, code):
+        cfg = self.write_config(
+            tmp_path, {"n_particles": 20, "lambda_grid": [0.5], "mc": {"n_atoms": 200, **mc}}
+        )
+        assert cli_main(["scan", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        assert cli_main(["mc-verify", "--config", cfg]) == code
+
     def test_mc_verify_flag_beats_config(self, tmp_path, capsys):
         cfg = self.write_config(
             tmp_path, {"mc": {"nu": 0.9, "n_atoms": 500, "n_shots": 1000}}
@@ -775,6 +795,9 @@ class TestCli:
             {"mc": {"nu": "abc", "n_shots": 10}},
             {"mc": {"nu": 1.5}},
             {"mc": {"seed": 1.5}},
+            {"mc": {"n_shots": 10}},
+            {"mc": {"nu": 0.1}},
+            {"mc": {"xi2": -1}},
             {"n_particles": 10, "lambda_grid": [0.5], "noise_grid": [0.5, 2.0]},
             {"lambda_grid": {"start": True, "stop": 2, "num": True}},
             {"lambda_grid": {"start": 0, "stop": 1, "num": 2.0}},
@@ -800,6 +823,9 @@ class TestCli:
             "string_mc_value",
             "mc_nu_out_of_range",
             "float_mc_seed",
+            "mc_too_few_shots",
+            "mc_nu_below_fit_guard",
+            "mc_negative_xi2",
             "ground_noise_grid",
             "bool_linspace",
             "float_num",
@@ -858,6 +884,8 @@ BAD_LINSPACES = (
     {"start": 0, "stop": math.nan, "num": 3},
     {"start": 0, "stop": 1, "num": 3, "step": 1},
 )
+# nu inside the bench's fit-regime guard (0.2, 0.98)
+MC_NU = st.floats(0.2, 0.98, exclude_min=True, exclude_max=True)
 BAD_VALUES = {
     "n_particles": st.sampled_from([0, -3, 2.5, "4", True, None, [4]]),
     "lambda_grid": st.sampled_from([*BAD_GRIDS, [-math.inf], *BAD_LINSPACES]),
@@ -868,7 +896,10 @@ BAD_VALUES = {
     "outputs": st.sampled_from(["csv", ["xml"], ["csv", "xml"], 5, None, [["csv"]]]),
     "rotation": st.sampled_from(["on", "AUTO", None, True]),
     "mc": st.sampled_from(
-        ["x", [1], 3, True, {"n_shot": 1000}, {"nu": "abc", "n_shots": 10}, {"seed": 0.5}]
+        [
+            "x", [1], 3, True, {"n_shot": 1000}, {"nu": "abc", "n_shots": 10}, {"seed": 0.5},
+            {"n_shots": 10}, {"nu": 0.1}, {"xi2": -1},
+        ]
     ),
 }
 
@@ -899,7 +930,7 @@ def scan_configs(draw):
             st.sampled_from([["csv"], ["json"], ["csv", "json"], ["json", "csv"]])
         ),
         "rotation": draw(st.sampled_from(["auto", "off"])),
-        "mc": draw(st.none() | st.fixed_dictionaries({"nu": st.floats(0.1, 1.0)})),
+        "mc": draw(st.none() | st.fixed_dictionaries({"nu": MC_NU})),
     }
     optional = ["k_fringe", "seed", "outputs", "rotation", "mc"]
     if mode == "ground_state":

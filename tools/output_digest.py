@@ -100,6 +100,7 @@ NEGATIVE_ZERO_NOISE = {
 }
 MC_TYPO = {"n_particles": 20, "lambda_grid": [0.5], "mc": {"n_shot": 1000}}
 MC_BAD_VALUE = {"n_particles": 20, "lambda_grid": [0.5], "mc": {"nu": "abc", "n_shots": 10}}
+MC_OUT_OF_RANGE = {"n_particles": 20, "lambda_grid": [0.5], "mc": {"n_shots": 10}}
 MC_BLOCK = {"mc": {"nu": 0.9, "n_atoms": 500, "n_shots": 1000}}
 MC_FULL = {
     "mc": {"nu": 0.7, "xi2": 0.5, "phi": 0.3, "k": 2.0, "n_atoms": 300,
@@ -124,6 +125,7 @@ CASES = (
     ("scan-negative-zero-noise", ["scan"], NEGATIVE_ZERO_NOISE),
     ("scan-mc-typo", ["scan"], MC_TYPO),
     ("scan-mc-bad-value", ["scan"], MC_BAD_VALUE),
+    ("scan-mc-out-of-range", ["scan"], MC_OUT_OF_RANGE),
     ("crossings-b", ["crossings"], CROSSING),
     ("crossings-a", ["crossings", "--column", "a_param"], CROSSING),
     ("crossings-blurred", ["crossings"], BLURRED_CROSSING),
