@@ -120,9 +120,9 @@ def _modulation(waves: np.ndarray, phase) -> np.ndarray:
     return np.cos(phase) * waves[0] - np.sin(phase) * waves[1]
 
 
-def _project(counts, n_atoms: int, waves: np.ndarray):
-    """Excess h - 1 of the mean-1 histogram(s) ``counts`` (bins on the last
-    axis) and its Fourier components (c, s) = (2/M) (h - 1) . waves.
+def _project(counts, n_atoms: int, waves: np.ndarray) -> np.ndarray:
+    """Fourier components (c, s) = (2/M) (h - 1) . waves of the mean-1
+    histogram(s) h of ``counts`` (bins on the last axis).
 
     The products are summed along each row rather than by a matrix product:
     BLAS picks its kernel by shape, so the last bits of a matmul depend on
@@ -130,7 +130,7 @@ def _project(counts, n_atoms: int, waves: np.ndarray):
     """
     n_bins = waves.shape[1]
     excess = counts * (n_bins / n_atoms) - 1.0
-    return excess, (excess[..., None, :] * waves).sum(axis=-1) * (2.0 / n_bins)
+    return (excess[..., None, :] * waves).sum(axis=-1) * (2.0 / n_bins)
 
 
 def wrap_phase(phi):
@@ -173,7 +173,7 @@ def fit_counts(counts, n_atoms: int, waves: np.ndarray) -> np.ndarray:
     nu = hypot(c, s).  Holding nu fixed does not move the optimal phase, and
     the projection has no failure mode.
     """
-    _, cs = _project(counts, n_atoms, waves)
+    cs = _project(counts, n_atoms, waves)
     return np.arctan2(-cs[..., 1], cs[..., 0])
 
 

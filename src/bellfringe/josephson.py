@@ -6,8 +6,8 @@ its diagonal holds the interaction and tilt terms and its off-diagonal the
 tunneling energy E_J, temperatures in units of E_J / k_B.
 
 Thermal averages need only the occupied bottom of the spectrum, which
-``low_spectrum`` diagonalizes: the states within an energy window of the
-ground state, -ln(THERMAL_WEIGHT_CUTOFF) T wide for temperature T.
+``low_spectrum`` diagonalizes, the one rule for the levels a temperature T
+occupies: the states within -ln(THERMAL_WEIGHT_CUTOFF) T of the ground state.
 """
 
 from __future__ import annotations
@@ -286,8 +286,9 @@ def full_spectrum(params: ModelParams) -> Spectrum:
     return Spectrum(params, energies, states)
 
 
-def low_spectrum(params: ModelParams, energy_window: float):
-    """Eigenpairs with E - E0 <= ``energy_window``, ascending in energy.
+def low_spectrum(params: ModelParams, temperature: float):
+    """Eigenpairs with E - E0 <= -ln(THERMAL_WEIGHT_CUTOFF) T, the levels
+    occupied at a finite T = ``temperature`` >= 0, ascending in energy.
 
     Only the window is diagonalized (MRRR, LAPACK ``stemr``), so the residual
     and orthonormality checks cost O(N K^2) for K kept states instead of
@@ -296,6 +297,9 @@ def low_spectrum(params: ModelParams, energy_window: float):
     solved on each parity block.  Returns ``(energies, vectors)`` with the
     states as columns.
     """
+    if not 0 <= temperature < math.inf:  # NaN fails too
+        raise ValueError(f"low_spectrum needs a finite temperature >= 0, got {temperature}")
+    window = -math.log(THERMAL_WEIGHT_CUTOFF) * temperature
     h = build_hamiltonian(params)
     zero_tilt = params.delta == 0
     lowest = _fold(h)[0] if zero_tilt else (h.diag, h.offdiag)
@@ -304,7 +308,7 @@ def low_spectrum(params: ModelParams, energy_window: float):
     # margin keeps the ground state inside even a zero-width window
     margin = RESIDUAL_TOL * h.norm_estimate
     return _solve(
-        h, zero_tilt, select="v", select_range=(e0 - margin, e0 + energy_window + margin),
+        h, zero_tilt, select="v", select_range=(e0 - margin, e0 + window + margin),
         lapack_driver="stemr",
     )
 
@@ -321,12 +325,12 @@ def thermal_ensemble(params: ModelParams, temperature: float) -> StateEnsemble:
     """Boltzmann mixture of eigenstates at k_B T / E_J = ``temperature``.
 
     Weights are exp(-(E_n - E0) / T), normalized to unit sum, over the
-    ``low_spectrum`` window -ln(THERMAL_WEIGHT_CUTOFF) T wide: states whose
-    relative weight falls below the cutoff are never diagonalized.  T = 0 is
-    the ground state; T = inf is the uniform mixture of the full spectrum
-    (capped at ``FULL_SPECTRUM_CAP``).
+    levels ``low_spectrum`` finds occupied: states whose relative weight
+    falls below the cutoff are never diagonalized.  T = 0 is the ground
+    state; T = inf is the uniform mixture of the full spectrum (capped at
+    ``FULL_SPECTRUM_CAP``).
     """
-    if temperature < 0:
+    if not temperature >= 0:  # NaN fails too
         raise ValueError("temperature must be >= 0")
     if temperature == 0:
         _, gs = ground_state(params)
@@ -336,8 +340,7 @@ def thermal_ensemble(params: ModelParams, temperature: float) -> StateEnsemble:
         n = len(spec.states)
         return StateEnsemble(spec.states, np.full(n, 1.0 / n))
 
-    window = -math.log(THERMAL_WEIGHT_CUTOFF) * temperature
-    energies, vectors = low_spectrum(params, window)
+    energies, vectors = low_spectrum(params, temperature)
     basis = build_basis(params.n_particles)
     states = tuple(SpinState(basis, vectors[:, k]) for k in range(vectors.shape[1]))
     return StateEnsemble(states, boltzmann_weights(energies, temperature))

@@ -201,6 +201,8 @@ def delta_thermal_mixture(
     """Composition of tilt fluctuations with a thermal state: a Boltzmann
     ensemble at every quadrature node.  This combined channel is an
     extension beyond the single-axis noise scans."""
+    if not sigma_delta >= 0:  # NaN fails too
+        raise ValueError("sigma_delta must be nonnegative")
     if sigma_delta == 0:
         return thermal_ensemble(ModelParams(n_particles, lam, 0.0), temperature)
     if temperature == 0:

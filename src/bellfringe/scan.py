@@ -1,16 +1,16 @@
 """Parameter scans over interaction strength and a noise axis.
 
 A scan walks a lambda grid (outer) and a noise grid (inner) and emits one
-row of witness quantities per point.  For each lambda, a column source
-does the shared work and returns the spin moments at each noise value:
+row of witness quantities per point.  For each lambda, ``_column_moments``
+does the shared work and lists the spin moments at each noise value:
 ground and blurred modes, the one ground-state row (blurred also checks
 its unblurred report); delta_mixture, the quadrature mixtures of all its
 sigma_delta on one tilt grid; thermal, Boltzmann averages of a K x 6 moment
-table solved once over the window the largest finite T occupies (T = 0
+table of the levels the largest finite T occupies, solved once (T = 0
 reads its ground row, and T = inf is the uniform mixture).  One row path
 then probes the visibility floor (after blur in blurred mode), rotates,
 forms (xi^2, nu) and builds the witness report.  A failure at one point
-becomes an error row; a failed column source fails its whole column.
+becomes an error row; a failed column solve fails its whole column.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ import numpy as np
 
 from . import __version__
 from .fringe_mc import FringeParams, _require_bench_ranges
-from .josephson import (
-    THERMAL_WEIGHT_CUTOFF,
-    ModelParams,
-    boltzmann_weights,
-    ground_state,
-    low_spectrum,
-)
+from .josephson import ModelParams, boltzmann_weights, ground_state, low_spectrum
 from .noise import _settled, blur_visibility, delta_column_moments
 from .spin_core import Moments, _is_integer, build_basis, compute_moments, moment_table
 from .spin_core import rotate_pi2_about_x
@@ -208,51 +202,44 @@ def _expand_grid(grid):
     return grid  # ScanSpec makes every value a float
 
 
-def _thermal_table(params: ModelParams, energy_window: float):
-    """Energies and K x 6 moment table of the states within the window."""
-    energies, vectors = low_spectrum(params, energy_window)
+def _thermal_table(params: ModelParams, temperature: float):
+    """Energies and K x 6 moment table of the levels occupied at T."""
+    energies, vectors = low_spectrum(params, temperature)
     return energies, moment_table(build_basis(params.n_particles), vectors)
 
 
 class SpectrumCache:
-    """On-disk memoization of thermal moment tables keyed by (N, lam, delta).
+    """On-disk memoization of ``_thermal_table`` keyed by (N, lam, delta, T).
 
-    A file holds the energies and the K x 6 moment table of the states with
-    E - E0 <= window, and the window itself.  It is served to any request
-    for a window no wider than the stored one (the extra states carry less
-    than the Boltzmann cutoff in weight); a wider request recomputes and
-    replaces it.  Moments are quadratic in the eigenvectors, so the table
-    does not depend on their sign convention.  Files are written to a
-    temporary name and atomically renamed, so concurrent writers cannot
-    corrupt each other.
+    A thermal column asks for the table at its largest finite T.  A file is
+    served only to its own key, so a cached scan gives the bytes of an
+    uncached one whatever the directory already holds.  Moments are
+    quadratic in the eigenvectors, so the table does not depend on their
+    sign convention.  Files are written to a temporary name and atomically
+    renamed, so concurrent writers cannot corrupt each other.
     """
 
     def __init__(self, directory: str):
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
 
-    def _path(self, params: ModelParams) -> str:
-        key = (
-            f"moment-table:N={params.n_particles}"
-            f":lam={params.lam!r}:delta={params.delta!r}"
-        )
-        digest = hashlib.sha256(key.encode()).hexdigest()
+    def _path(self, params: ModelParams, temperature: float) -> str:
+        digest = hashlib.sha256(repr((params, temperature)).encode()).hexdigest()
         return os.path.join(self.directory, f"{digest}.npz")
 
-    def moment_table(self, params: ModelParams, energy_window: float):
-        """``(energies, table)`` covering at least ``energy_window``."""
-        path = self._path(params)
+    def moment_table(self, params: ModelParams, temperature: float):
+        """``_thermal_table(params, temperature)``, stored under its key."""
+        path = self._path(params, temperature)
         if os.path.exists(path):
             with np.load(path) as data:
-                if float(data["window"]) >= energy_window:
-                    return data["energies"], data["table"]
-        energies, table = _thermal_table(params, energy_window)
+                return data["energies"], data["table"]
+        energies, table = _thermal_table(params, temperature)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             # write through the descriptor: np.savez would append ".npz" to a
             # bare filename and break the atomic rename
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, energies=energies, table=table, window=energy_window)
+                np.savez(fh, energies=energies, table=table)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -267,31 +254,30 @@ def _error_row(lam, noise_value, rotate, error) -> ScanRow:
     return ScanRow(lam=lam, noise_value=noise_value, rotated=rotate, error=error)
 
 
-def _column_source(spec: ScanSpec, lam: float, rotate: bool, cache):
-    """The work one lambda column shares; returns noise value -> moments."""
+def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache) -> list:
+    """The moments of one lambda column at each value of the spec's noise
+    grid, in order: each the Moments or the exception its solve ended in."""
     n = spec.n_particles
     if spec.mode == "delta_mixture":  # one tilt grid for the whole column
-        found = dict(zip(spec.noise_grid, delta_column_moments(n, lam, spec.noise_grid)))
-        return lambda sigma_delta: _settled(found[sigma_delta])
+        return delta_column_moments(n, lam, spec.noise_grid)
     params = ModelParams(n, lam, 0.0)
     if spec.mode != "thermal":
         moments = compute_moments(ground_state(params)[1])
         if spec.mode == "blurred":
             # blur rescales nu only; the unblurred report must hold for the column
             report_from_moments(moments, n, apply_rotation=rotate)
-        return lambda _: moments
+        return [moments] * len(spec.noise_grid)
     finite = [t for t in spec.noise_grid if not math.isinf(t)]
     if finite:
         solve = cache.moment_table if cache else _thermal_table
-        energies, table = solve(params, -math.log(THERMAL_WEIGHT_CUTOFF) * max(finite))
-
-    def thermal(t):
-        if math.isinf(t):  # the uniform mixture: no <Jx>, each <Ji^2> = j(j+1)/3
-            return Moments(0.0, 0.0, 0.0, *[n * (n + 2) / 12] * 3)
-        mean = table[0] if t == 0 else boltzmann_weights(energies, t) @ table
-        return Moments(*mean)
-
-    return thermal
+        energies, table = solve(params, max(finite))
+    # T = inf is the uniform mixture: no <Jx>, each <Ji^2> = j(j+1)/3
+    uniform = Moments(0.0, 0.0, 0.0, *[n * (n + 2) / 12] * 3)
+    return [
+        uniform if math.isinf(t)
+        else Moments(*(table[0] if t == 0 else boltzmann_weights(energies, t) @ table))
+        for t in spec.noise_grid
+    ]
 
 
 def _scan_one_lambda(spec: ScanSpec, lam: float, cache=None) -> list:
@@ -300,13 +286,13 @@ def _scan_one_lambda(spec: ScanSpec, lam: float, cache=None) -> list:
     every mode."""
     rotate = spec.rotation == "auto" and lam > 0
     try:
-        moments_at = _column_source(spec, lam, rotate, cache)
+        column = _column_moments(spec, lam, rotate, cache)
     except Exception as exc:
         return [_error_row(lam, v, rotate, exc) for v in spec.noise_grid]
     rows = []
-    for value in spec.noise_grid:
+    for value, found in zip(spec.noise_grid, column):
         try:
-            moments = moments_at(value)
+            moments = _settled(found)
             nu = visibility(moments, spec.n_particles)
             if spec.mode == "blurred":
                 nu = blur_visibility(nu, spec.k_fringe, value)

@@ -30,7 +30,7 @@ def fit_positions(p, x):
     fit's bins for ``p``."""
     edges, waves = fit_bins(p)
     counts = np.histogram(x, bins=edges)[0]
-    _, (c, s) = fringe_mc._project(counts, len(x), waves)
+    c, s = fringe_mc._project(counts, len(x), waves)
     return float(fringe_mc.fit_counts(counts, len(x), waves)), c, s
 
 

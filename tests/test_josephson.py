@@ -347,9 +347,9 @@ class TestParityBlocks:
     @pytest.mark.parametrize("lam", [-1.4, -0.9, 4.0])
     def test_low_spectrum_keeps_the_full_window(self, n, lam):
         params = ModelParams(n, lam, 0.0)
+        energies, vectors = josephson.low_spectrum(params, 1.5)
+        # the window T = 1.5 occupies, solved on the full H
         window = -math.log(josephson.THERMAL_WEIGHT_CUTOFF) * 1.5
-        energies, vectors = josephson.low_spectrum(params, window)
-        # the same window solved on the full H
         h = build_hamiltonian(params)
         e0 = eigh_tridiagonal(
             h.diag, h.offdiag, eigvals_only=True, select="i", select_range=(0, 0),
@@ -432,6 +432,17 @@ class TestThermalEnsemble:
     def test_rejects_negative_temperature(self):
         with pytest.raises(ValueError):
             thermal_ensemble(ModelParams(10, 0.0, 0.0), -0.1)
+
+    def test_rejects_nan_temperature(self):
+        # NaN must not reach stemr, which fails on it with a ConvergenceError
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            thermal_ensemble(ModelParams(10, 0.0, 0.0), math.nan)
+
+    @pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
+    def test_low_spectrum_needs_a_finite_nonnegative_temperature(self, t):
+        # T = inf occupies every level: that is full_spectrum, capped there
+        with pytest.raises(ValueError, match="finite temperature >= 0"):
+            josephson.low_spectrum(ModelParams(10, 0.0, 0.0), t)
 
     @pytest.mark.parametrize("t", [5e-324, 1e-310])
     def test_subnormal_temperature_weights(self, t):

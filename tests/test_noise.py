@@ -175,6 +175,11 @@ class TestDeltaThermalMixture:
         pure = ensemble_moments(delta_mixture(n, -0.6, 0.04, check=False))
         assert combined.jx == pytest.approx(pure.jx, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    def test_rejects_negative_sigma(self, t):
+        with pytest.raises(ValueError, match="sigma_delta must be nonnegative"):
+            delta_thermal_mixture(40, -0.5, -0.05, t)
+
     def test_combined_weights_normalized(self):
         ens = delta_thermal_mixture(20, -0.4, 0.03, 0.5, order=11)
         assert np.sum(ens.weights) == pytest.approx(1.0, abs=1e-12)

@@ -377,19 +377,24 @@ class TestRunScan:
         assert [r.error for r in rows if math.isfinite(r.noise_value)] == [""] * 4
         assert [r.error for r in rows if math.isinf(r.noise_value)] == [FLOOR_ERROR] * 2
 
-    def test_cache_serves_only_covering_windows(self, tmp_path):
-        cache = str(tmp_path)
-        run_scan(thermal_spec(40, (-0.5, 0.5), (0.0, 0.5)), cache_dir=cache)
-        hot = thermal_spec(40, (-0.5, 0.5), (0.0, 1.0, 3.0))
-        cold = run_scan(hot, cache_dir=cache)
-        assert cold == run_scan(hot)
-        files = sorted(tmp_path.glob("*.npz"))
-        assert len(files) == 2
-        stored = [f.read_bytes() for f in files]
-        assert run_scan(hot, cache_dir=cache) == cold
-        # a narrower window is served from the wider table, not recomputed
-        run_scan(thermal_spec(40, (-0.5, 0.5), (0.2,)), cache_dir=cache)
-        assert [f.read_bytes() for f in files] == stored
+    def test_cache_serves_only_exact_keys(self, tmp_path):
+        # a table is keyed by the largest finite T of its column: a wider
+        # T_max, then a narrower one, then the wider again, each as if cold
+        cache, lams = str(tmp_path), (-0.5, 0.5)
+        wide, narrow = (0.0, 1.0, 3.0), (0.0, 0.2)
+        for temps, n_files in ((wide, 2), (narrow, 4), (wide, 4)):
+            spec = thermal_spec(40, lams, temps)
+            assert run_scan(spec, cache_dir=cache) == run_scan(spec)
+            assert len(list(tmp_path.glob("*.npz"))) == n_files
+
+        def stored():
+            return {f.name: (f.stat().st_ino, f.stat().st_mtime_ns, f.read_bytes())
+                    for f in tmp_path.iterdir()}
+
+        before = stored()
+        for temps in (narrow, wide):  # warm reruns rewrite no file
+            run_scan(thermal_spec(40, lams, temps), cache_dir=cache)
+        assert stored() == before
 
     def test_spectrum_cache(self, tmp_path):
         spec = ScanSpec(

@@ -44,6 +44,9 @@ THERMAL_INF = {
     "noise_axis": "temperature",
     "noise_grid": [0.0, 0.5, 2.0, math.inf],
 }
+# THERMAL_INF's column at a narrower largest temperature: on the warm cache
+# it must give the bytes of its uncached twin
+THERMAL_NARROWER = {**THERMAL_INF, "noise_grid": [0.0, 0.5]}
 THERMAL_TINY = {
     "n_particles": 1000,
     "lambda_grid": [-1.3, 0.5],
@@ -117,6 +120,8 @@ CASES = (
     ("scan-thermal-tiny-t", ["scan"], THERMAL_TINY),
     ("scan-thermal-cache-cold", ["scan", "--cache", "cache"], THERMAL_INF),
     ("scan-thermal-cache-warm", ["scan", "--cache", "cache"], THERMAL_INF),
+    ("scan-thermal-cache-narrower", ["scan", "--cache", "cache"], THERMAL_NARROWER),
+    ("scan-thermal-narrower", ["scan"], THERMAL_NARROWER),
     ("scan-blurred", ["scan"], BLURRED),
     ("scan-delta", ["scan"], DELTA),
     ("scan-delta-transition-point", ["scan"], DELTA_TRANSITION_POINT),
