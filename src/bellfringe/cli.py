@@ -1,8 +1,8 @@
 """Command-line driver: scans, crossings, boundaries, MC verification.
 
 Exit status: 0 on success, 1 on configuration errors, 2 on computation
-errors.  ``--threads`` (or BELLFRINGE_THREADS) is accepted and passed on to
-``run_scan``, which runs serially.
+errors.  ``--threads`` (or BELLFRINGE_THREADS) is passed on to ``run_scan``,
+which refuses a count below 1 and runs serially.
 """
 
 from __future__ import annotations

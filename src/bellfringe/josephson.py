@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 from .spin_core import SpinState, StateEnsemble, _ladder_array, build_basis
 
@@ -47,9 +48,6 @@ ORTHO_TOL = 1e-8
 # Relative tolerance under which eigenvector components tie for the largest
 # magnitude (see _fix_signs).
 SIGN_TIE_RTOL = 1e-8
-
-# eigh_tridiagonal selection of the lowest eigenpair only (LAPACK stebz)
-_LOWEST = dict(select="i", select_range=(0, 0), lapack_driver="stebz")
 
 
 class ConvergenceError(RuntimeError):
@@ -195,11 +193,18 @@ def _checked(h: SymTridiag, energies, vectors, unfolded, gram: bool = True):
     return energies, _fix_signs(vectors)
 
 
-def _eigh(diag: np.ndarray, offdiag: np.ndarray, **select):
-    try:
-        return eigh_tridiagonal(diag, offdiag, **select)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
-        raise ConvergenceError(str(exc)) from exc
+def _lowest_pair(diag: np.ndarray, offdiag: np.ndarray, vector: bool = True):
+    """Lowest eigenpair ``(w, v)``, shapes (1,) and (n, 1), of a symmetric
+    tridiagonal matrix, ``v`` None without ``vector``: eigh_tridiagonal's calls
+    (stebz by index, il = iu = 1, tol 0, block order; stein) and bits."""
+    if len(diag) == 1:
+        return diag.copy(), np.ones((1, 1))
+    m, w, iblock, isplit, info = dstebz(diag, offdiag, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0 and vector:
+        v, info = dstein(diag, offdiag, w[:m], iblock, isplit)
+    if info:  # pragma: no cover - backend failure
+        raise ConvergenceError(f"stebz/stein did not converge (LAPACK info={info})")
+    return w[:m], (v if vector else None)
 
 
 def _solve(h: SymTridiag, zero_tilt: bool, **select) -> tuple[np.ndarray, np.ndarray]:
@@ -209,45 +214,45 @@ def _solve(h: SymTridiag, zero_tilt: bool, **select) -> tuple[np.ndarray, np.nda
     ascending energy (even first on ties); the unfolded vectors are checked
     against the full H before they are renormalized.
     """
-    if not zero_tilt:
-        return _checked(h, *_eigh(h.diag, h.offdiag, **select), slice(0))
-    n = len(h.diag) - 1
-    pairs = [_eigh(diag, offdiag, **select) for diag, offdiag in _fold(h)]
+    try:
+        if not zero_tilt:
+            return _checked(h, *eigh_tridiagonal(h.diag, h.offdiag, **select), slice(0))
+        pairs = [eigh_tridiagonal(diag, offdiag, **select) for diag, offdiag in _fold(h)]
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
+        raise ConvergenceError(str(exc)) from exc
     energies = np.concatenate([w for w, _ in pairs])
-    vectors = np.hstack([_unfold(v, p, n) for (_, v), p in zip(pairs, (1.0, -1.0))])
+    vectors = np.hstack([_unfold(v, p, len(h.diag) - 1) for (_, v), p in zip(pairs, (1.0, -1.0))])
     order = np.argsort(energies, kind="stable")
     energies, vectors = energies[order], vectors[:, order]  # frees the unsorted block
     return _checked(h, energies, vectors, slice(None))
 
 
-def ground_states(n_particles: int, lam: float, tilts) -> tuple[np.ndarray, np.ndarray]:
-    """Ground eigenpairs ``(energies, vectors)`` of H(lam, delta) for every
-    delta in ``tilts``, one column each.
+def ground_states(n_particles: int, lam, tilts) -> tuple[np.ndarray, np.ndarray]:
+    """Ground eigenpairs ``(energies, vectors)`` of H(lam, delta), one column
+    per element of ``lam`` and ``tilts`` broadcast together (1-D).
 
-    H(lam, 0) is built once and each tilt adds delta * m to its diagonal
-    (LAPACK ``stebz``); a zero tilt solves only the even ``_fold`` block,
-    since the Perron-Frobenius ground state is even.  The block then gets
-    one residual check (each column against its own full |H|), one norm
-    check and one ``_fix_signs`` call.
+    Each diagonal is H(lam, 0) as ``build_hamiltonian`` rounds it, plus
+    delta * m; ``_lowest_pair`` solves it, or at zero tilt only the even
+    ``_fold`` block (the Perron-Frobenius ground state is even).  The block
+    gets one finiteness check, one residual check (each column against its
+    own full |H|), one norm check and one ``_fix_signs`` call.
     """
-    tilts = np.asarray(tilts, dtype=float)
-    h0 = build_hamiltonian(ModelParams(n_particles, lam, 0.0))
-    # row k is the diagonal of H(lam, tilts[k]), contiguous for LAPACK
-    diags = h0.diag + tilts[:, None] * build_basis(n_particles).m_values
+    lams, tilts = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(tilts, dtype=float))
+    basis = build_basis(n_particles)
+    m, offdiag = basis.m_values, -_ladder_array(basis)
+    flat = (lams[:, None] / n_particles * m) * m + 0.0 * m  # rows of H(lam, 0)
+    diags = flat + tilts[:, None] * m  # row k, contiguous for LAPACK, is column k's
     if not np.isfinite(diags).all():  # checked once here, not per solve
         raise ValueError("lam and every tilt must give a finite Hamiltonian")
     zero = tilts == 0
-    even = _fold(h0)[0]
-    lowest = dict(_LOWEST, check_finite=False)
-    energies = np.empty(len(tilts))
-    vectors = np.empty((n_particles + 1, len(tilts)), order="F")
+    energies, vectors = np.empty(len(tilts)), np.empty((n_particles + 1, len(tilts)), order="F")
     for k, diag in enumerate(diags):
         if zero[k]:
-            energies[k:k + 1], block = _eigh(*even, **lowest)
+            energies[k:k + 1], block = _lowest_pair(*_fold(SymTridiag(flat[k], offdiag))[0])
             vectors[:, k:k + 1] = _unfold(block, 1.0, n_particles)
         else:
-            energies[k:k + 1], vectors[:, k:k + 1] = _eigh(diag, h0.offdiag, **lowest)
-    return _checked(SymTridiag(diags.T, h0.offdiag), energies, vectors, zero, gram=False)
+            energies[k:k + 1], vectors[:, k:k + 1] = _lowest_pair(diag, offdiag)
+    return _checked(SymTridiag(diags.T, offdiag), energies, vectors, zero, gram=False)
 
 
 def ground_state(params: ModelParams) -> tuple[float, SpinState]:
@@ -301,9 +306,10 @@ def low_spectrum(params: ModelParams, temperature: float):
         raise ValueError(f"low_spectrum needs a finite temperature >= 0, got {temperature}")
     window = -math.log(THERMAL_WEIGHT_CUTOFF) * temperature
     h = build_hamiltonian(params)
+    if not np.isfinite(h.diag).all():  # stebz has no check of its own
+        raise ValueError("array must not contain infs or NaNs")
     zero_tilt = params.delta == 0
-    lowest = _fold(h)[0] if zero_tilt else (h.diag, h.offdiag)
-    e0 = _eigh(*lowest, eigvals_only=True, **_LOWEST)[0]
+    e0 =_lowest_pair(*(_fold(h)[0] if zero_tilt else (h.diag, h.offdiag)), False)[0][0]
     # drivers round E0 apart by far less than the residual tolerance; the
     # margin keeps the ground state inside even a zero-width window
     margin = RESIDUAL_TOL * h.norm_estimate

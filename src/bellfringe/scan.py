@@ -3,14 +3,14 @@
 A scan walks a lambda grid (outer) and a noise grid (inner) and emits one
 row of witness quantities per point.  For each lambda, ``_column_moments``
 does the shared work and lists the spin moments at each noise value:
-ground and blurred modes, the one ground-state row (blurred also checks
-its unblurred report); delta_mixture, the quadrature mixtures of all its
-sigma_delta on one tilt grid; thermal, Boltzmann averages of a K x 6 moment
-table of the levels the largest finite T occupies, solved once (T = 0
-reads its ground row, and T = inf is the uniform mixture).  One row path
-then probes the visibility floor (after blur in blurred mode), rotates,
-forms (xi^2, nu) and builds the witness report.  A failure at one point
-becomes an error row; a failed column solve fails its whole column.
+ground and blurred modes, the one ground-state row, solved in lambda blocks
+(blurred also checks its unblurred report); delta_mixture, the quadrature
+mixtures of all its sigma_delta on one tilt grid; thermal, Boltzmann
+averages of a K x 6 moment table of the levels the largest finite T
+occupies, solved once (T = 0 reads its ground row, and T = inf is the
+uniform mixture).  One row path then probes the visibility floor (after any
+blur), rotates, forms (xi^2, nu) and builds the witness report.  A failure at
+one point becomes an error row; a failed column solve fails the column.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ import numpy as np
 
 from . import __version__
 from .fringe_mc import FringeParams, _require_bench_ranges
-from .josephson import ModelParams, boltzmann_weights, ground_state, low_spectrum
+from .josephson import ModelParams, boltzmann_weights, ground_states, low_spectrum
 from .noise import _settled, blur_visibility, delta_column_moments
-from .spin_core import Moments, _is_integer, build_basis, compute_moments, moment_table
-from .spin_core import rotate_pi2_about_x
+from .spin_core import Moments, SpinState, _is_integer, build_basis, compute_moments
+from .spin_core import moment_table, rotate_pi2_about_x
 from .witnesses import VisibilityError, build_report, phase_squeezing, visibility
 from .witnesses import report_from_moments
 
@@ -56,6 +56,7 @@ MODE_AXIS = {
 }
 
 NU_FLOOR = 1e-6
+GROUND_BLOCK = 8  # lambdas per ground_states call; peak memory grows with it
 FLOOR_ERROR = "visibility below threshold"
 # bisection stops once the bracket on lambda is this narrow
 CROSSING_TOL = 1e-4
@@ -254,15 +255,29 @@ def _error_row(lam, noise_value, rotate, error) -> ScanRow:
     return ScanRow(lam=lam, noise_value=noise_value, rotated=rotate, error=error)
 
 
-def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache) -> list:
+def _ground_moments(n_particles: int, lams, block: int = GROUND_BLOCK) -> list:
+    """Per lambda, its ground-state Moments or the exception its solve ended in:
+    ``block`` lambdas per ``ground_states`` call, a failed block again one by
+    one, moments per column (a block's ``moment_table`` rounds by its width)."""
+    basis, found = build_basis(n_particles), []
+    for lo in range(0, len(lams), block):
+        part = lams[lo:lo + block]
+        try:
+            vectors = ground_states(n_particles, part, 0.0)[1]
+            found += [compute_moments(SpinState(basis, v)) for v in vectors.T]
+        except Exception as exc:
+            found += [exc] if len(part) == 1 else _ground_moments(n_particles, part, 1)
+    return found
+
+
+def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache, ground) -> list:
     """The moments of one lambda column at each value of the spec's noise
     grid, in order: each the Moments or the exception its solve ended in."""
     n = spec.n_particles
     if spec.mode == "delta_mixture":  # one tilt grid for the whole column
         return delta_column_moments(n, lam, spec.noise_grid)
-    params = ModelParams(n, lam, 0.0)
     if spec.mode != "thermal":
-        moments = compute_moments(ground_state(params)[1])
+        moments = _settled(ground)
         if spec.mode == "blurred":
             # blur rescales nu only; the unblurred report must hold for the column
             report_from_moments(moments, n, apply_rotation=rotate)
@@ -270,7 +285,7 @@ def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache) -> list:
     finite = [t for t in spec.noise_grid if not math.isinf(t)]
     if finite:
         solve = cache.moment_table if cache else _thermal_table
-        energies, table = solve(params, max(finite))
+        energies, table = solve(ModelParams(n, lam, 0.0), max(finite))
     # T = inf is the uniform mixture: no <Jx>, each <Ji^2> = j(j+1)/3
     uniform = Moments(0.0, 0.0, 0.0, *[n * (n + 2) / 12] * 3)
     return [
@@ -280,44 +295,49 @@ def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache) -> list:
     ]
 
 
-def _scan_one_lambda(spec: ScanSpec, lam: float, cache=None) -> list:
-    """Rows of one lambda column: its moments at each noise value of the
-    spec, then the nu floor, blur, rotation and witness report, the same in
-    every mode."""
-    rotate = spec.rotation == "auto" and lam > 0
-    try:
-        column = _column_moments(spec, lam, rotate, cache)
-    except Exception as exc:
-        return [_error_row(lam, v, rotate, exc) for v in spec.noise_grid]
+def _scan_rows(spec: ScanSpec, lams, cache=None) -> list:
+    """Rows of the lambda columns ``lams``, in order: the moments of each
+    column at each noise value (ground states of all columns first), then
+    the nu floor, blur, rotation and witness report, the same in every mode."""
+    blocked = spec.mode in ("ground_state", "blurred")
+    ground = _ground_moments(spec.n_particles, lams) if blocked else [None] * len(lams)
     rows = []
-    for value, found in zip(spec.noise_grid, column):
+    for lam, solved in zip(lams, ground):
+        rotate = spec.rotation == "auto" and lam > 0
         try:
-            moments = _settled(found)
-            nu = visibility(moments, spec.n_particles)
-            if spec.mode == "blurred":
-                nu = blur_visibility(nu, spec.k_fringe, value)
-            if nu < NU_FLOOR:
-                rows.append(_error_row(lam, value, rotate, FLOOR_ERROR))
-                continue
-            if rotate:
-                moments = rotate_pi2_about_x(moments)
-            xi2 = phase_squeezing(moments, spec.n_particles)
-            report = build_report(xi2, nu, spec.n_particles, rotated=rotate)
-            fields = {name: getattr(report, name) for name in ROW_FIELDS}
-            rows.append(ScanRow(lam, value, rotated=rotate, **fields))
-        except Exception as exc:
-            rows.append(_error_row(lam, value, rotate, exc))
+            column = _column_moments(spec, lam, rotate, cache, solved)
+        except Exception as exc:  # fails every row of the column
+            column = [exc] * len(spec.noise_grid)
+        for value, found in zip(spec.noise_grid, column):
+            try:
+                moments = _settled(found)
+                nu = visibility(moments, spec.n_particles)
+                if spec.mode == "blurred":
+                    nu = blur_visibility(nu, spec.k_fringe, value)
+                if nu < NU_FLOOR:
+                    rows.append(_error_row(lam, value, rotate, FLOOR_ERROR))
+                    continue
+                if rotate:
+                    moments = rotate_pi2_about_x(moments)
+                xi2 = phase_squeezing(moments, spec.n_particles)
+                report = build_report(xi2, nu, spec.n_particles, rotated=rotate)
+                fields = {name: getattr(report, name) for name in ROW_FIELDS}
+                rows.append(ScanRow(lam, value, rotated=rotate, **fields))
+            except Exception as exc:
+                rows.append(_error_row(lam, value, rotate, exc))
     return rows
 
 
 def run_scan(spec: ScanSpec, threads: int = 1, cache_dir: str = None) -> list:
     """Evaluate the scan grid in grid order (lambda outer, noise inner).
 
-    The grid runs serially whatever ``threads`` says: the LAPACK wrappers
+    The grid runs serially at any ``threads`` >= 1: the LAPACK wrappers
     hold the interpreter lock, so a thread pool measured no faster.
     """
+    if threads < 1:
+        raise ValueError(f"the thread count must be >= 1, got {threads}")
     cache = SpectrumCache(cache_dir) if cache_dir else None
-    return [row for lam in spec.lambda_grid for row in _scan_one_lambda(spec, lam, cache)]
+    return _scan_rows(spec, spec.lambda_grid, cache)
 
 
 def make_evaluator(spec: ScanSpec, column: str = "b_param"):
@@ -330,7 +350,7 @@ def make_evaluator(spec: ScanSpec, column: str = "b_param"):
         )
 
     def evaluate(lam: float) -> float:
-        (row,) = _scan_one_lambda(spec, lam)
+        (row,) = _scan_rows(spec, [lam])
         if row.error:
             raise VisibilityError(row.error)
         return getattr(row, column)
@@ -358,8 +378,8 @@ def find_zero_crossings(rows, column: str, evaluate) -> list:
         if right is None:
             crossings.append(left.lam)
             continue
-        lo, hi = left.lam, right.lam
-        flo = evaluate(lo)
+        # the row at lo holds the value a fresh evaluation gives, bit for bit
+        lo, hi, flo = left.lam, right.lam, getattr(left, column)
         while hi - lo > CROSSING_TOL:
             mid = 0.5 * (lo + hi)
             fmid = evaluate(mid)

@@ -35,6 +35,9 @@ from bellfringe.josephson import (
 
 from oracles import dense_hamiltonian, dense_moments
 
+# the ground-solve kernel, kept before any test patches it
+lowest_pair = josephson._lowest_pair
+
 
 def analytic_ground_energy_n2(lam):
     # symmetric sector of the N=2 problem is a 2x2 eigenproblem
@@ -201,6 +204,18 @@ class TestGroundStates:
             _, state = ground_state(ModelParams(80, -0.7, delta))
             assert np.array_equal(vectors[:, k], state.coeffs)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 1001])
+    def test_lambda_columns_are_ground_state(self, n):
+        # one lambda per column, zero tilts among nonzero ones: every column
+        # is the one-column solve of its own H, bit for bit
+        lams = np.linspace(-1.5, 4.0, 11)
+        tilts = np.where(np.arange(11) % 3 == 0, 0.0, 0.05)
+        energies, vectors = ground_states(n, lams, tilts)
+        for k, (lam, delta) in enumerate(zip(lams, tilts)):
+            energy, state = ground_state(ModelParams(n, lam, delta))
+            assert energies[k] == energy
+            assert np.array_equal(vectors[:, k], state.coeffs)
+
     @pytest.mark.parametrize("corrupt", [1, 3, 5])
     def test_residual_checked_against_own_hamiltonian(self, monkeypatch, corrupt):
         # shift one column's energy by twice the residual bound of its own H;
@@ -213,36 +228,36 @@ class TestGroundStates:
         assert shift < RESIDUAL_TOL * max(norms)
         calls = []
 
-        def perturbed(*args, **kwargs):
-            w, v = eigh_tridiagonal(*args, **kwargs)
+        def perturbed(*args):
+            w, v = lowest_pair(*args)
             calls.append(None)
             return (w + shift, v) if len(calls) == corrupt + 1 else (w, v)
 
-        monkeypatch.setattr(josephson, "eigh_tridiagonal", perturbed)
+        monkeypatch.setattr(josephson, "_lowest_pair", perturbed)
         with pytest.raises(ConvergenceError, match="residual"):
             ground_states(n, lam, tilts)
 
     def test_unnormalized_column_raises(self, monkeypatch):
         calls = []
 
-        def stretched(*args, **kwargs):
-            w, v = eigh_tridiagonal(*args, **kwargs)
+        def stretched(*args):
+            w, v = lowest_pair(*args)
             calls.append(None)
             return (w, v * (1 + 1e-6)) if len(calls) == 3 else (w, v)
 
-        monkeypatch.setattr(josephson, "eigh_tridiagonal", stretched)
+        monkeypatch.setattr(josephson, "_lowest_pair", stretched)
         with pytest.raises(ConvergenceError, match="orthonormality"):
             ground_states(40, -0.5, TILTS)
 
     def test_corrupted_node_fails_the_mixture(self, monkeypatch):
         calls = []
 
-        def perturbed(*args, **kwargs):
-            w, v = eigh_tridiagonal(*args, **kwargs)
+        def perturbed(*args):
+            w, v = lowest_pair(*args)
             calls.append(None)
             return (w + 1e-3, v) if len(calls) == 30 else (w, v)
 
-        monkeypatch.setattr(josephson, "eigh_tridiagonal", perturbed)
+        monkeypatch.setattr(josephson, "_lowest_pair", perturbed)
         with pytest.raises(ConvergenceError):
             delta_mixture_moments(40, -0.5, 0.05)
 
@@ -254,11 +269,11 @@ class TestGroundStates:
         assert len(delta_mixture(n, lam, sigma).states) == 82
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(None)
-            return eigh_tridiagonal(*args, **kwargs)
+            return lowest_pair(*args)
 
-        monkeypatch.setattr(josephson, "eigh_tridiagonal", counting)
+        monkeypatch.setattr(josephson, "_lowest_pair", counting)
         mixture(n, lam, sigma)
         assert len(calls) == 21 + 20
 
@@ -377,11 +392,11 @@ class TestParityBlocks:
     def test_ground_state_solves_the_even_block_once(self, monkeypatch, n):
         sizes = []
 
-        def recording(diag, *args, **kwargs):
+        def recording(diag, *args):
             sizes.append(len(diag))
-            return eigh_tridiagonal(diag, *args, **kwargs)
+            return lowest_pair(diag, *args)
 
-        monkeypatch.setattr(josephson, "eigh_tridiagonal", recording)
+        monkeypatch.setattr(josephson, "_lowest_pair", recording)
         ground_state(ModelParams(n, -0.7, 0.0))
         assert sizes == [n // 2 + 1]
 
@@ -443,6 +458,14 @@ class TestThermalEnsemble:
         # T = inf occupies every level: that is full_spectrum, capped there
         with pytest.raises(ValueError, match="finite temperature >= 0"):
             josephson.low_spectrum(ModelParams(10, 0.0, 0.0), t)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    @pytest.mark.parametrize("delta", [0.0, 0.3])
+    def test_low_spectrum_refuses_an_overflowed_hamiltonian(self, delta):
+        # lambda = 1e306 at N = 1000 puts inf on the diagonal; stebz has no
+        # finiteness check, so low_spectrum makes eigh_tridiagonal's
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            josephson.low_spectrum(ModelParams(1000, 1e306, delta), 1.0)
 
     @pytest.mark.parametrize("t", [5e-324, 1e-310])
     def test_subnormal_temperature_weights(self, t):

@@ -9,15 +9,16 @@ import tempfile
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import eigh_tridiagonal
 
 import bellfringe
 from bellfringe import (
+    ConvergenceError,
     ModelParams,
     QuadratureRule,
     ScanRow,
     ScanSpec,
     bell_witness,
+    build_hamiltonian,
     build_report,
     compute_moments,
     emit_outputs,
@@ -33,17 +34,23 @@ from bellfringe import (
 from bellfringe import cli, josephson, noise
 from bellfringe.cli import main as cli_main
 from bellfringe.scan import (
+    CROSSING_TOL,
     CSV_HEADER,
     FLOOR_ERROR,
+    GROUND_BLOCK,
     MC_DEFAULTS,
     MODE_AXIS,
     MODES,
     SpectrumCache,
+    _ground_moments,
     make_evaluator,
     rows_to_csv,
 )
 
 from oracles import dense_hamiltonian, dense_spin_matrices
+
+# the ground-solve kernel, kept before any test patches it
+lowest_pair = josephson._lowest_pair
 
 
 def ground_spec(lams, **kw):
@@ -242,12 +249,12 @@ class TestRunScan:
         clean = run_scan(spec)
         calls = []
 
-        def perturbed(*args, **kwargs):
-            w, v = eigh_tridiagonal(*args, **kwargs)
+        def perturbed(*args):
+            w, v = lowest_pair(*args)
             calls.append(None)
             return (w + 1e-3, v) if len(calls) == 30 else (w, v)
 
-        monkeypatch.setattr(josephson, "eigh_tridiagonal", perturbed)
+        monkeypatch.setattr(josephson, "_lowest_pair", perturbed)
         rows = run_scan(spec)
         assert rows[0] == clean[0] and rows[0].error == ""
         for row in rows[1:]:
@@ -377,6 +384,15 @@ class TestRunScan:
         assert [r.error for r in rows if math.isfinite(r.noise_value)] == [""] * 4
         assert [r.error for r in rows if math.isinf(r.noise_value)] == [FLOOR_ERROR] * 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_overflowed_thermal_column_fails_alone(self):
+        # at N = 1000, lambda = 1e306 overflows the diagonal to inf, which
+        # E0's solve must refuse as the finiteness check of eigh_tridiagonal did
+        good, temps = (-1.3, 0.5), (0.0, 1.0)
+        rows = run_scan(thermal_spec(1000, good + (1e306,), temps))
+        assert rows[:4] == run_scan(thermal_spec(1000, good, temps))
+        assert [r.error for r in rows[4:]] == ["ValueError: array must not contain infs or NaNs"] * 2
+
     def test_cache_serves_only_exact_keys(self, tmp_path):
         # a table is keyed by the largest finite T of its column: a wider
         # T_max, then a narrower one, then the wider again, each as if cold
@@ -411,7 +427,95 @@ class TestRunScan:
         assert cold == warm
 
 
+def ground_moments(n, lam):
+    return compute_moments(ground_state(ModelParams(n, lam, 0.0))[1])
+
+
+class TestGroundBlocks:
+    """Ground and blurred scans solve their lambda grid in blocks."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 1001])
+    def test_block_moments_are_the_per_lambda_moments(self, n):
+        lams = tuple(np.linspace(-1.5, 4.0, 2 * GROUND_BLOCK + 3))
+        assert _ground_moments(n, lams) == [ground_moments(n, lam) for lam in lams]
+        rows = run_scan(ground_spec(lams, n=n))
+        assert rows == [row for lam in lams for row in run_scan(ground_spec([lam], n=n))]
+
+    def test_failed_lambda_spares_its_block(self):
+        # at N = 1000 the eigenpair check of lambda = 1e300 fails on NaN
+        n, lams = 1000, (-1.2, -0.5, 0.3, 1e300, 2.0, 4.0)
+        found = _ground_moments(n, lams)
+        assert isinstance(found[3], ConvergenceError)
+        assert str(found[3]) == "eigenpair residual nan |H| > 1e-08 |H|"
+        for k in (0, 1, 2, 4, 5):
+            assert found[k] == ground_moments(n, lams[k])
+        # in a scan grid, which must ascend, it shares the last block
+        good = tuple(np.linspace(-1.3, 4.0, GROUND_BLOCK + 3))
+        rows = run_scan(ground_spec(good + (1e300,), n=n))
+        assert rows[:-1] == run_scan(ground_spec(good, n=n))
+        assert rows[-1].error == "ConvergenceError: eigenpair residual nan |H| > 1e-08 |H|"
+
+    @pytest.mark.parametrize("mode", ["ground_state", "blurred"])
+    def test_corrupted_column_fails_only_its_lambda(self, monkeypatch, mode):
+        n, bad = 40, 2
+        lams = tuple(np.linspace(-1.3, 3.0, GROUND_BLOCK + 2))
+        noise = {"mode": mode}
+        if mode == "blurred":
+            noise.update(noise_axis="sigma_detector", noise_grid=(0.0, 0.5))
+        spec = ground_spec(lams, n=n, **noise)
+        clean = run_scan(spec)
+        # the even block of the bad lambda's H, whenever it is solved
+        target = josephson._fold(build_hamiltonian(ModelParams(n, lams[bad], 0.0)))[0][0]
+        shift = 2 * josephson.RESIDUAL_TOL * build_hamiltonian(ModelParams(n, lams[bad])).norm_estimate
+
+        def perturbed(diag, *args):
+            w, v = lowest_pair(diag, *args)
+            return (w + shift, v) if np.array_equal(diag, target) else (w, v)
+
+        monkeypatch.setattr(josephson, "_lowest_pair", perturbed)
+        rows = run_scan(spec)
+        width = len(spec.noise_grid)
+        for k, lam in enumerate(lams):
+            got, want = rows[k * width:(k + 1) * width], clean[k * width:(k + 1) * width]
+            if k == bad:
+                assert all(r.error.startswith("ConvergenceError: eigenpair residual") for r in got)
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("mode", ["ground_state", "blurred"])
+    def test_one_lowest_pair_call_per_lambda(self, monkeypatch, mode):
+        lams = tuple(np.linspace(-1.3, 3.0, 2 * GROUND_BLOCK + 1))
+        noise = {"mode": mode}
+        if mode == "blurred":
+            noise.update(noise_axis="sigma_detector", noise_grid=(0.0, 0.3, 0.6))
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return lowest_pair(*args)
+
+        monkeypatch.setattr(josephson, "_lowest_pair", counting)
+        rows = run_scan(ground_spec(lams, n=200, **noise))
+        assert not any(row.error for row in rows)
+        assert len(calls) == len(lams)
+
+
 class TestCrossingsAndBoundary:
+    def test_bisection_reads_the_left_value_from_its_row(self):
+        # one evaluation per halving: the row already holds the value at the
+        # left end of each bracket, so that end is never evaluated again
+        rows = [ScanRow(lam, 0.0, b_param=math.cos(lam)) for lam in range(6)]
+        calls = []
+
+        def evaluate(lam):
+            calls.append(lam)
+            return math.cos(lam)
+
+        crossings = find_zero_crossings(rows, "b_param", evaluate)
+        assert crossings == pytest.approx([math.pi / 2, 3 * math.pi / 2], abs=CROSSING_TOL)
+        assert len(calls) == 2 * math.ceil(math.log2(1.0 / CROSSING_TOL))
+        assert not {1.0, 4.0} & set(calls)
+
     def test_finds_witness_threshold(self):
         # large N: b crosses zero near lambda = -3/4
         spec = ground_spec([-0.85, -0.65], n=1000)
@@ -872,6 +976,19 @@ class TestCli:
         monkeypatch.setenv("BELLFRINGE_THREADS", "2")
         rc = cli_main(["scan", "--config", cfg, "--out", str(tmp_path / "t")])
         assert rc == 0
+
+    @pytest.mark.parametrize("flag, env", [("0", None), ("1", "-3")])
+    def test_thread_count_below_one_is_config_error(self, tmp_path, monkeypatch,
+                                                   capsys, flag, env):
+        cfg = self.write_config(tmp_path, {"n_particles": 40, "lambda_grid": [0.5]})
+        monkeypatch.delenv("BELLFRINGE_THREADS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("BELLFRINGE_THREADS", env)
+        for command in ("scan", "crossings", "boundary"):
+            out = str(tmp_path / command)
+            assert cli_main([command, "--config", cfg, "--out", out, "--threads", flag]) == 1
+            assert "thread count must be >= 1" in capsys.readouterr().err
+            assert not os.path.exists(out)
 
 
 NOISE_VALUES = {

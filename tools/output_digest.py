@@ -54,6 +54,8 @@ THERMAL_TINY = {
     "noise_axis": "temperature",
     "noise_grid": [0.0, 1e-310, 1.0],
 }
+# good thermal columns, then one whose Hamiltonian overflows
+THERMAL_OVERFLOW = {**THERMAL_TINY, "lambda_grid": [-1.3, 0.5, 1e306], "noise_grid": [0.0, 1.0]}
 BLURRED = {
     "n_particles": 1000,
     "lambda_grid": [-0.9, 0.5, 8.0],
@@ -85,6 +87,20 @@ DELTA_TRANSITION = {
     "noise_axis": "sigma_delta",
     "noise_grid": [0.0, 0.01, 0.05, 0.1],
 }
+# more lambdas than one ground-state block, odd N: the last block holds
+# 1e300, which solves at odd N, and 1e306, whose Hamiltonian overflows, so
+# that block fails and is solved again lambda by lambda
+GROUND_BLOCKS_ODD = {
+    "n_particles": 1001,
+    "lambda_grid": [-1.3 + 0.25 * k for k in range(18)] + [1e300, 1e306],
+}
+BLURRED_BLOCKS = {
+    "n_particles": 1000,
+    "lambda_grid": {"start": -1.3, "stop": 2.0, "num": 19},
+    "mode": "blurred",
+    "noise_axis": "sigma_detector",
+    "noise_grid": {"start": 0.0, "stop": 1.2, "num": 4},
+}
 CROSSING = {"n_particles": 1000, "lambda_grid": {"start": -1.0, "stop": -0.5, "num": 11}}
 BLURRED_CROSSING = {
     "n_particles": 400,
@@ -115,14 +131,17 @@ CASES = (
     ("scan-ground-readme", ["scan"], GROUND_README),
     ("scan-ground-n3", ["scan"], GROUND_N3),
     ("scan-ground-n3-no-rotation", ["scan", "--no-rotation", "--seed", "7"], GROUND_N3),
+    ("scan-ground-blocks-odd-n", ["scan"], GROUND_BLOCKS_ODD),
     ("scan-thermal-readme", ["scan"], THERMAL_README),
     ("scan-thermal-inf", ["scan"], THERMAL_INF),
     ("scan-thermal-tiny-t", ["scan"], THERMAL_TINY),
+    ("scan-thermal-overflow", ["scan"], THERMAL_OVERFLOW),
     ("scan-thermal-cache-cold", ["scan", "--cache", "cache"], THERMAL_INF),
     ("scan-thermal-cache-warm", ["scan", "--cache", "cache"], THERMAL_INF),
     ("scan-thermal-cache-narrower", ["scan", "--cache", "cache"], THERMAL_NARROWER),
     ("scan-thermal-narrower", ["scan"], THERMAL_NARROWER),
     ("scan-blurred", ["scan"], BLURRED),
+    ("scan-blurred-blocks", ["scan"], BLURRED_BLOCKS),
     ("scan-delta", ["scan"], DELTA),
     ("scan-delta-transition-point", ["scan"], DELTA_TRANSITION_POINT),
     ("scan-delta-transition", ["scan"], DELTA_TRANSITION),
