@@ -8,6 +8,13 @@ tunneling energy E_J, temperatures in units of E_J / k_B.
 Thermal averages need only the occupied bottom of the spectrum, which
 ``low_spectrum`` diagonalizes, the one rule for the levels a temperature T
 occupies: the states within -ln(THERMAL_WEIGHT_CUTOFF) T of the ground state.
+
+A ground state fills only some sqrt(N) rows about its mean-field well, so
+``ground_states`` solves each H on its support: rows that a WKB estimate
+from H alone seeds, grown until both end components are within SUPPORT_RTOL
+of the peak.  By interlacing the truncated level lies above the lowest of H;
+a Sturm count on the whole H must find no level RESIDUAL_TOL |H| below it
+(Parlett, The Symmetric Eigenvalue Problem, SIAM 1998), else H is solved whole.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz, dstein
 
-from .spin_core import SpinState, StateEnsemble, _ladder_array, build_basis
+from .spin_core import SpinState, StateEnsemble, _ladder, build_basis
 
 __all__ = [
     "ModelParams",
@@ -48,6 +55,11 @@ ORTHO_TOL = 1e-8
 # Relative tolerance under which eigenvector components tie for the largest
 # magnitude (see _fix_signs).
 SIGN_TIE_RTOL = 1e-8
+
+# Ground solves on a row range (see _ground_pair and _support).
+SUPPORT_RTOL = 1e-17
+SUPPORT_PAD = 16
+SCALE_EXP = 500
 
 
 class ConvergenceError(RuntimeError):
@@ -107,7 +119,7 @@ def build_hamiltonian(params: ModelParams) -> SymTridiag:
     basis = build_basis(params.n_particles)
     m = basis.m_values
     diag = (params.lam / params.n_particles) * m * m + params.delta * m
-    return SymTridiag(diag, -_ladder_array(basis))  # -Jx
+    return SymTridiag(diag, -_ladder(params.n_particles)[0])  # -Jx
 
 
 def _check_eigenpairs(h: SymTridiag, energies, vectors, gram: bool = True):
@@ -117,9 +129,11 @@ def _check_eigenpairs(h: SymTridiag, energies, vectors, gram: bool = True):
     the one H) and that H's |H| bound.  Eigenvectors of one H must be
     orthonormal (``gram``); ground states of different H need only unit norm.
     """
-    resid = h.matvec(vectors) - vectors * energies
     norm_h = np.maximum(h.norm_estimate, 1e-300)
-    worst = (np.sqrt((resid * resid).sum(axis=0)) / norm_h).max()
+    resid = h.matvec(vectors)
+    resid -= vectors * energies
+    resid /= norm_h  # before squaring, which overflows beyond |H| ~ 1e154
+    worst = np.sqrt((resid * resid).sum(axis=0)).max()
     if not worst <= RESIDUAL_TOL:  # NaN fails too
         raise ConvergenceError(f"eigenpair residual {worst:.3e} |H| > {RESIDUAL_TOL} |H|")
     if gram:
@@ -207,6 +221,52 @@ def _lowest_pair(diag: np.ndarray, offdiag: np.ndarray, vector: bool = True):
     return w[:m], (v if vector else None)
 
 
+def _support(diag: np.ndarray, offdiag: np.ndarray) -> tuple[int, int]:
+    """Seed rows ``[lo, hi)`` of the lowest eigenvector of a tridiagonal H with
+    negative ``offdiag``, from H alone.  The local energy d_i - s_i, s_i =
+    2 min(|e_(i-1)|, |e_i|), is least at row c (for the junction: the
+    mean-field well).  Elsewhere psi decays by exp(-kappa_i) per row, cosh
+    kappa_i = (d_i - d_c + s_c) / s_i (discrete WKB), and the seed ends where
+    the sum of kappa from c reaches -ln SUPPORT_RTOL, plus SUPPORT_PAD rows:
+    near c a Gaussian, also along an anharmonic flank or into a second well."""
+    e = np.concatenate(([0.0], -offdiag, [0.0]))
+    s = 2.0 * np.minimum(e[:-1], e[1:])
+    local = diag - s
+    c = int(local.argmin())
+    with np.errstate(all="ignore"):  # 0 / 0 at an end row c reads as kappa 0
+        kappa = np.arccosh(np.fmax((diag - local[c]) / s, 1.0))
+    action = -math.log(SUPPORT_RTOL)
+    lo = c - int(np.searchsorted(np.cumsum(kappa[c::-1]), action)) - SUPPORT_PAD
+    hi = c + int(np.searchsorted(np.cumsum(kappa[c:]), action)) + SUPPORT_PAD + 1
+    return max(lo, 0), min(hi, len(diag))
+
+
+def _ground_pair(diag: np.ndarray, offdiag: np.ndarray, norm: float):
+    """Lowest eigenpair ``(w, v)`` of one tridiagonal H with |H| <= ``norm``,
+    solved on the rows of ``_support``, each side grown by the range's width
+    while its end component exceeds SUPPORT_RTOL of the peak, zero-padded.
+    If a Sturm count (stebz by value) on the whole H finds a level below
+    w - RESIDUAL_TOL |H|, the whole H is solved.  Above |H| = 2^SCALE_EXP
+    LAPACK gets H times an exact power of two: stein overflows on |H|^2."""
+    (lo, hi), n = _support(diag, offdiag), len(diag)
+    scale = 2.0 ** min(0, SCALE_EXP - math.frexp(norm)[1])
+    if scale < 1.0:
+        diag, offdiag, norm = diag * scale, offdiag * scale, norm * scale
+    while True:
+        w, v = _lowest_pair(diag[lo:hi], offdiag[lo:hi - 1])
+        tol = SUPPORT_RTOL * np.abs(v).max()
+        low, high = lo > 0 and abs(v[0, 0]) > tol, hi < n and abs(v[-1, 0]) > tol
+        if not (low or high):
+            break
+        lo, hi = max(lo - low * (hi - lo), 0), min(hi + high * (hi - lo), n)
+    below = w[0] - RESIDUAL_TOL * norm  # count the levels in (-2|H|, below]
+    if hi - lo < n and dstebz(diag, offdiag, 1, -2.0 * norm, below, 0, 0, 0.0, "B")[0]:
+        (w, v), lo, hi = _lowest_pair(diag, offdiag), 0, n
+    padded = np.zeros((n, 1))
+    padded[lo:hi] = v
+    return w / scale, padded
+
+
 def _solve(h: SymTridiag, zero_tilt: bool, **select) -> tuple[np.ndarray, np.ndarray]:
     """Checked, sign-fixed eigenpairs of ``h`` in the ``select`` range.
 
@@ -232,27 +292,28 @@ def ground_states(n_particles: int, lam, tilts) -> tuple[np.ndarray, np.ndarray]
     per element of ``lam`` and ``tilts`` broadcast together (1-D).
 
     Each diagonal is H(lam, 0) as ``build_hamiltonian`` rounds it, plus
-    delta * m; ``_lowest_pair`` solves it, or at zero tilt only the even
-    ``_fold`` block (the Perron-Frobenius ground state is even).  The block
-    gets one finiteness check, one residual check (each column against its
-    own full |H|), one norm check and one ``_fix_signs`` call.
+    delta * m.  ``_ground_pair`` solves it, or at zero tilt only the even
+    ``_fold`` block (the Perron-Frobenius ground state is even), on its
+    support: rows seeded from that H alone (so a column has the same bits in
+    any block), grown until both end components are within SUPPORT_RTOL of
+    the peak, and certified by a Sturm count on the whole H or block.  The
+    block gets one finiteness check, one residual check (each column against
+    its own full |H|), one norm check and one ``_fix_signs`` call.
     """
     lams, tilts = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(tilts, dtype=float))
     basis = build_basis(n_particles)
-    m, offdiag = basis.m_values, -_ladder_array(basis)
+    m, offdiag = basis.m_values, -_ladder(n_particles)[0]
     flat = (lams[:, None] / n_particles * m) * m + 0.0 * m  # rows of H(lam, 0)
     diags = flat + tilts[:, None] * m  # row k, contiguous for LAPACK, is column k's
     if not np.isfinite(diags).all():  # checked once here, not per solve
         raise ValueError("lam and every tilt must give a finite Hamiltonian")
-    zero = tilts == 0
+    h, zero = SymTridiag(diags.T, offdiag), tilts == 0
     energies, vectors = np.empty(len(tilts)), np.empty((n_particles + 1, len(tilts)), order="F")
-    for k, diag in enumerate(diags):
-        if zero[k]:
-            energies[k:k + 1], block = _lowest_pair(*_fold(SymTridiag(flat[k], offdiag))[0])
-            vectors[:, k:k + 1] = _unfold(block, 1.0, n_particles)
-        else:
-            energies[k:k + 1], vectors[:, k:k + 1] = _lowest_pair(diag, offdiag)
-    return _checked(SymTridiag(diags.T, offdiag), energies, vectors, zero, gram=False)
+    for k, (diag, norm) in enumerate(zip(diags, h.norm_estimate)):
+        block = _fold(SymTridiag(flat[k], offdiag))[0] if zero[k] else (diag, offdiag)
+        energies[k:k + 1], v = _ground_pair(*block, norm)
+        vectors[:, k:k + 1] = _unfold(v, 1.0, n_particles) if zero[k] else v
+    return _checked(h, energies, vectors, zero, gram=False)
 
 
 def ground_state(params: ModelParams) -> tuple[float, SpinState]:

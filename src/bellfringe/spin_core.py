@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -102,11 +103,16 @@ def build_basis(n_particles: int) -> DickeBasis:
     return DickeBasis(int(n_particles), j, m_values)
 
 
-def _ladder_array(basis: DickeBasis) -> np.ndarray:
-    # c_m for m = -j ... j-1, vector of length N
-    m = basis.m_values[:-1]
-    j = basis.j
-    return 0.5 * np.sqrt(j * (j + 1) - m * (m + 1))
+@lru_cache(maxsize=8)
+def _ladder(n_particles: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only ladder arrays of N particles, computed once per N: the c_m
+    = <m+1| J+ |m> / 2 for m = -j ... j-1, the products c_m c_(m+1), and m^2."""
+    m, j = build_basis(n_particles).m_values, n_particles / 2.0
+    c = 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
+    arrays = (c, c[:-1] * c[1:], m * m)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def moment_table(basis: DickeBasis, vectors: np.ndarray) -> np.ndarray:
@@ -126,18 +132,17 @@ def moment_table(basis: DickeBasis, vectors: np.ndarray) -> np.ndarray:
     if off.max() > NORM_TOL:
         worst = float(norm2[off.argmax()])
         raise ValueError(f"state not normalized: |psi|^2 = {worst!r}")
-    m = basis.m_values
-    j = basis.j
-    c = _ladder_array(basis)
+    m, j = basis.m_values, basis.j
+    c, c_pairs, m_squared = _ladder(basis.n_particles)
 
     table = np.zeros((6, psi.shape[1]))  # one row per Moments field; <Jy> = 0
     table[0] = 2.0 * (c @ (psi[:-1] * psi[1:]))
     # <Jz> summed over +-m pairs, so a state of definite parity gives 0 exactly
     half = len(m) // 2
     table[2] = m[-half:] @ (weight[-half:] - weight[:half][::-1])
-    jz2 = (m * m) @ weight
+    jz2 = m_squared @ weight
     # <J+^2> = <J-^2> = 4 sum_m c_m c_{m+1} psi_m psi_{m+2}
-    two_step = (c[:-1] * c[1:]) @ (psi[:-2] * psi[2:])
+    two_step = c_pairs @ (psi[:-2] * psi[2:])
     iso = 0.5 * (j * (j + 1) - jz2)
     table[3] = iso + 2.0 * two_step
     table[4] = iso - 2.0 * two_step

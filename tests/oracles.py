@@ -1,10 +1,11 @@
 """Independent brute-force references: dense complex spin matrices and
-expectation values, a fine tanh-sinh tilt mixture, and fringe positions by
-rejection sampling, kept deliberately separate from the library's paths so
-they can arbitrate them."""
+expectation values, a whole-matrix tridiagonal ground state with moments from
+sparse J+- and Jz actions (for N too large to solve densely), a fine
+tanh-sinh tilt mixture, and fringe positions by rejection sampling, kept
+deliberately separate from the library's paths so they can arbitrate them."""
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 
 def dense_spin_matrices(n_particles: int):
@@ -43,6 +44,32 @@ def dense_moments(n_particles: int, psi: np.ndarray):
         "jy2": ev(jy @ jy),
         "jz2": ev(jz @ jz),
     }
+
+
+def tridiagonal_ground(n_particles: int, lam: float, delta: float):
+    """(E0, E1, psi0) of the junction H by bisection and inverse iteration
+    (LAPACK stebz, stein) on all N + 1 rows: the same matrix as
+    ``dense_hamiltonian``, for sizes where a dense solve is slow."""
+    j = n_particles / 2.0
+    m = np.arange(n_particles + 1) - j
+    ladder = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
+    w, v = eigh_tridiagonal(
+        lam / n_particles * m * m + delta * m, -0.5 * ladder,
+        select="i", select_range=(0, 1), lapack_driver="stebz",
+    )
+    return w[0], w[1], v[:, 0]
+
+
+def sparse_moments(n_particles: int, psi: np.ndarray):
+    """(jx, jy, jz, jx2, jy2, jz2) of a real state from the vectors J+ psi,
+    J- psi and Jz psi: <A^2> = |A psi|^2 for each Hermitian A."""
+    j = n_particles / 2.0
+    m = np.arange(n_particles + 1) - j
+    ladder = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
+    up, down = np.zeros_like(psi), np.zeros_like(psi)
+    up[1:], down[:-1] = ladder * psi[:-1], ladder * psi[1:]
+    jx_psi, jy_psi, jz_psi = (up + down) / 2, (up - down) / 2, m * psi  # Jy psi is -i jy_psi
+    return [psi @ jx_psi, 0.0, psi @ jz_psi, jx_psi @ jx_psi, jy_psi @ jy_psi, jz_psi @ jz_psi]
 
 
 def dense_rotated_moments(n_particles: int, psi: np.ndarray, theta: float):

@@ -33,10 +33,12 @@ from bellfringe.josephson import (
     boltzmann_weights,
 )
 
-from oracles import dense_hamiltonian, dense_moments
+from oracles import dense_hamiltonian, dense_moments, sparse_moments, tridiagonal_ground
 
-# the ground-solve kernel, kept before any test patches it
-lowest_pair = josephson._lowest_pair
+# the per-H ground solve (truncated, grown and certified), kept before any
+# test patches it
+ground_pair = josephson._ground_pair
+lowest_pair, support = josephson._lowest_pair, josephson._support
 
 
 def analytic_ground_energy_n2(lam):
@@ -229,11 +231,11 @@ class TestGroundStates:
         calls = []
 
         def perturbed(*args):
-            w, v = lowest_pair(*args)
+            w, v = ground_pair(*args)
             calls.append(None)
             return (w + shift, v) if len(calls) == corrupt + 1 else (w, v)
 
-        monkeypatch.setattr(josephson, "_lowest_pair", perturbed)
+        monkeypatch.setattr(josephson, "_ground_pair", perturbed)
         with pytest.raises(ConvergenceError, match="residual"):
             ground_states(n, lam, tilts)
 
@@ -241,11 +243,11 @@ class TestGroundStates:
         calls = []
 
         def stretched(*args):
-            w, v = lowest_pair(*args)
+            w, v = ground_pair(*args)
             calls.append(None)
             return (w, v * (1 + 1e-6)) if len(calls) == 3 else (w, v)
 
-        monkeypatch.setattr(josephson, "_lowest_pair", stretched)
+        monkeypatch.setattr(josephson, "_ground_pair", stretched)
         with pytest.raises(ConvergenceError, match="orthonormality"):
             ground_states(40, -0.5, TILTS)
 
@@ -253,11 +255,11 @@ class TestGroundStates:
         calls = []
 
         def perturbed(*args):
-            w, v = lowest_pair(*args)
+            w, v = ground_pair(*args)
             calls.append(None)
             return (w + 1e-3, v) if len(calls) == 30 else (w, v)
 
-        monkeypatch.setattr(josephson, "_lowest_pair", perturbed)
+        monkeypatch.setattr(josephson, "_ground_pair", perturbed)
         with pytest.raises(ConvergenceError):
             delta_mixture_moments(40, -0.5, 0.05)
 
@@ -271,11 +273,110 @@ class TestGroundStates:
 
         def counting(*args):
             calls.append(None)
-            return lowest_pair(*args)
+            return ground_pair(*args)
 
-        monkeypatch.setattr(josephson, "_lowest_pair", counting)
+        monkeypatch.setattr(josephson, "_ground_pair", counting)
         mixture(n, lam, sigma)
         assert len(calls) == 21 + 20
+
+
+SUPPORT_LAMS = (-1.5, -1.2, -1.0, -0.5, 0.0, 1.0, 10.0, 1e3)
+SUPPORT_TILTS = (0.0, 1e-20, 1e-6, 0.02, 0.8)
+
+
+def recorded_sizes(monkeypatch) -> list:
+    """Patches the LAPACK kernel to record the rows of every solve."""
+    sizes = []
+
+    def recording(diag, *args):
+        sizes.append(len(diag))
+        return lowest_pair(diag, *args)
+
+    monkeypatch.setattr(josephson, "_lowest_pair", recording)
+    return sizes
+
+
+class TestSupportSolve:
+    """Ground pairs solved on their support, grown and certified on the whole H."""
+
+    @pytest.mark.parametrize("n", [200, 1000, 4000])
+    def test_columns_match_the_oracle(self, n):
+        lams, tilts = (grid.ravel() for grid in np.meshgrid(SUPPORT_LAMS, SUPPORT_TILTS))
+        energies, vectors = ground_states(n, lams, tilts)
+        basis = build_basis(n)
+        for k, (lam, delta) in enumerate(zip(lams, tilts)):
+            if n <= 200:
+                dense_e, dense_v = np.linalg.eigh(dense_hamiltonian(n, lam, delta))
+                (e0, e1), psi = dense_e[:2], dense_v[:, 0]
+                want = list(dense_moments(n, psi).values())
+            else:
+                e0, e1, psi = tridiagonal_ground(n, lam, delta)
+                want = sparse_moments(n, psi)
+            norm = build_hamiltonian(ModelParams(n, lam, delta)).norm_estimate
+            assert energies[k] == pytest.approx(e0, rel=0, abs=1e-13 * norm)
+            got = compute_moments(SpinState(basis, vectors[:, k]))
+            got = [got.jx, got.jy, got.jz, got.jx2, got.jy2, got.jz2]
+            if e1 - e0 <= RESOLVED_GAP * norm:
+                # the doublet of lam < -1 at small tilt: a solver's vector mixes
+                # its two wells by up to rounding / gap, which moves <Jz> (odd
+                # under m -> -m) at first order and the other five at second
+                del got[2], want[2]
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-10), (lam, delta)
+
+    @pytest.mark.parametrize("lam, delta", [(-1.2, 0.0), (-1.2, 0.02), (0.5, 0.0), (10.0, 0.3)])
+    def test_narrow_seed_grows_to_the_full_solve(self, monkeypatch, lam, delta):
+        n = 1000
+        monkeypatch.setattr(josephson, "_support", lambda diag, offdiag: (0, len(diag)))
+        want_e, want_v = ground_states(n, lam, [delta])
+
+        def narrow(diag, offdiag):
+            mid = sum(support(diag, offdiag)) // 2
+            return mid - 2, mid + 2
+
+        monkeypatch.setattr(josephson, "_support", narrow)
+        sizes = recorded_sizes(monkeypatch)
+        energies, vectors = ground_states(n, lam, [delta])
+        assert sizes[0] == 4 and len(sizes) >= 3
+        norm = build_hamiltonian(ModelParams(n, lam, delta)).norm_estimate
+        assert abs(energies[0] - want_e[0]) <= 1e-13 * norm
+        assert np.abs(vectors - want_v).max() <= 1e-13
+
+    def test_seed_in_the_wrong_well_falls_back_to_the_full_solve(self, monkeypatch):
+        # the ground state of lam = -1.5, delta = 0.02 sits in the m < 0 well;
+        # rows m >= 50 hold the other well, whose state is an eigenpair to
+        # rounding 2 delta m* = 15 above it: only the Sturm count sees that
+        n, lam, delta = 1000, -1.5, 0.02
+        monkeypatch.setattr(josephson, "_support", lambda diag, offdiag: (0, len(diag)))
+        want_e, want_v = ground_states(n, lam, [delta])
+        monkeypatch.setattr(josephson, "_support", lambda diag, offdiag: (550, len(diag)))
+        sizes = recorded_sizes(monkeypatch)
+        energies, vectors = ground_states(n, lam, [delta])
+        assert sizes == [451, 1001]
+        assert np.array_equal(energies, want_e) and np.array_equal(vectors, want_v)
+
+    def test_solves_on_the_support(self, monkeypatch):
+        # one solve per column, on under a quarter of the rows at N = 4000
+        sizes = recorded_sizes(monkeypatch)
+        ground_states(4000, [0.0, 1.0, 10.0, 0.0, 1.0, 10.0], [0.0] * 3 + [0.02] * 3)
+        assert len(sizes) == 6 and max(sizes) < 4001 // 4
+
+    @pytest.mark.parametrize("n, lam", [(1000, 1e160), (1000, 1e300), (1001, 1e300)])
+    def test_huge_lambda_is_the_number_state(self, n, lam):
+        # stein overflows on |H|^2 and returned NaN; LAPACK now sees a
+        # power-of-two scaled H.  The ground state is m = 0, or at odd N the
+        # even pair of m = +-1/2
+        energy, state = ground_state(ModelParams(n, lam))
+        norm = build_hamiltonian(ModelParams(n, lam)).norm_estimate
+        assert abs(energy - lam / (4 * n) * (n % 2)) <= RESIDUAL_TOL * norm
+        want = np.zeros(n + 1)
+        want[n // 2:(n + 3) // 2] = 1.0 if n % 2 == 0 else math.sqrt(0.5)
+        assert np.allclose(state.coeffs, want, rtol=0, atol=1e-15)
+
+    def test_low_spectrum_of_a_huge_h(self):
+        # the residual of |H| ~ 1e302 used to overflow when squared
+        energies, vectors = josephson.low_spectrum(ModelParams(1001, 1e300), 0.5)
+        assert vectors.shape == (1002, 2)
+        assert np.allclose(np.abs(vectors[500:502]), math.sqrt(0.5), rtol=0, atol=1e-15)
 
 
 class TestFullSpectrum:
@@ -394,9 +495,9 @@ class TestParityBlocks:
 
         def recording(diag, *args):
             sizes.append(len(diag))
-            return lowest_pair(diag, *args)
+            return ground_pair(diag, *args)
 
-        monkeypatch.setattr(josephson, "_lowest_pair", recording)
+        monkeypatch.setattr(josephson, "_ground_pair", recording)
         ground_state(ModelParams(n, -0.7, 0.0))
         assert sizes == [n // 2 + 1]
 

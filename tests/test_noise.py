@@ -22,8 +22,9 @@ from bellfringe import josephson
 from bellfringe.noise import delta_column_moments
 from oracles import tanh_sinh_delta_moments
 
-# the ground-solve kernel, kept before any test patches it
-lowest_pair = josephson._lowest_pair
+# the per-H ground solve (truncated, grown and certified), kept before any
+# test patches it
+ground_pair = josephson._ground_pair
 
 
 class TestSplitGaussianRule:
@@ -143,9 +144,9 @@ class TestDeltaColumn:
 
         def counting(*args):
             calls.append(None)
-            return lowest_pair(*args)
+            return ground_pair(*args)
 
-        monkeypatch.setattr(josephson, "_lowest_pair", counting)
+        monkeypatch.setattr(josephson, "_ground_pair", counting)
         moments = delta_mixture_moments(1000, -1.03, 0.06)
         assert len(calls) == 81
         assert 0.0 < moments.jx < 500.0

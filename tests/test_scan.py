@@ -49,8 +49,9 @@ from bellfringe.scan import (
 
 from oracles import dense_hamiltonian, dense_spin_matrices
 
-# the ground-solve kernel, kept before any test patches it
-lowest_pair = josephson._lowest_pair
+# the per-H ground solve (truncated, grown and certified), kept before any
+# test patches it
+ground_pair = josephson._ground_pair
 
 
 def ground_spec(lams, **kw):
@@ -250,11 +251,11 @@ class TestRunScan:
         calls = []
 
         def perturbed(*args):
-            w, v = lowest_pair(*args)
+            w, v = ground_pair(*args)
             calls.append(None)
             return (w + 1e-3, v) if len(calls) == 30 else (w, v)
 
-        monkeypatch.setattr(josephson, "_lowest_pair", perturbed)
+        monkeypatch.setattr(josephson, "_ground_pair", perturbed)
         rows = run_scan(spec)
         assert rows[0] == clean[0] and rows[0].error == ""
         for row in rows[1:]:
@@ -442,18 +443,21 @@ class TestGroundBlocks:
         assert rows == [row for lam in lams for row in run_scan(ground_spec([lam], n=n))]
 
     def test_failed_lambda_spares_its_block(self):
-        # at N = 1000 the eigenpair check of lambda = 1e300 fails on NaN
-        n, lams = 1000, (-1.2, -0.5, 0.3, 1e300, 2.0, 4.0)
-        found = _ground_moments(n, lams)
-        assert isinstance(found[3], ConvergenceError)
-        assert str(found[3]) == "eigenpair residual nan |H| > 1e-08 |H|"
+        # at N = 1000 the Hamiltonian of lambda = 1e306 overflows to inf; the
+        # CLI runs without numpy's overflow warning, which is an error here
+        n, lams = 1000, (-1.2, -0.5, 0.3, 1e306, 2.0, 4.0)
+        message = "lam and every tilt must give a finite Hamiltonian"
+        with np.errstate(over="ignore"):
+            found = _ground_moments(n, lams)
+        assert isinstance(found[3], ValueError) and str(found[3]) == message
         for k in (0, 1, 2, 4, 5):
             assert found[k] == ground_moments(n, lams[k])
         # in a scan grid, which must ascend, it shares the last block
         good = tuple(np.linspace(-1.3, 4.0, GROUND_BLOCK + 3))
-        rows = run_scan(ground_spec(good + (1e300,), n=n))
+        with np.errstate(over="ignore"):
+            rows = run_scan(ground_spec(good + (1e306,), n=n))
         assert rows[:-1] == run_scan(ground_spec(good, n=n))
-        assert rows[-1].error == "ConvergenceError: eigenpair residual nan |H| > 1e-08 |H|"
+        assert rows[-1].error == f"ValueError: {message}"
 
     @pytest.mark.parametrize("mode", ["ground_state", "blurred"])
     def test_corrupted_column_fails_only_its_lambda(self, monkeypatch, mode):
@@ -469,10 +473,10 @@ class TestGroundBlocks:
         shift = 2 * josephson.RESIDUAL_TOL * build_hamiltonian(ModelParams(n, lams[bad])).norm_estimate
 
         def perturbed(diag, *args):
-            w, v = lowest_pair(diag, *args)
+            w, v = ground_pair(diag, *args)
             return (w + shift, v) if np.array_equal(diag, target) else (w, v)
 
-        monkeypatch.setattr(josephson, "_lowest_pair", perturbed)
+        monkeypatch.setattr(josephson, "_ground_pair", perturbed)
         rows = run_scan(spec)
         width = len(spec.noise_grid)
         for k, lam in enumerate(lams):
@@ -492,9 +496,9 @@ class TestGroundBlocks:
 
         def counting(*args):
             calls.append(None)
-            return lowest_pair(*args)
+            return ground_pair(*args)
 
-        monkeypatch.setattr(josephson, "_lowest_pair", counting)
+        monkeypatch.setattr(josephson, "_ground_pair", counting)
         rows = run_scan(ground_spec(lams, n=200, **noise))
         assert not any(row.error for row in rows)
         assert len(calls) == len(lams)

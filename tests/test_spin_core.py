@@ -15,6 +15,7 @@ from bellfringe import (
     rotate_pi2_about_x,
 )
 
+from bellfringe.spin_core import _ladder
 from oracles import dense_moments, dense_rotated_moments, random_real_state
 
 
@@ -119,6 +120,19 @@ class TestMomentTable:
             got = dict(zip(("jx", "jy", "jz", "jx2", "jy2", "jz2"), row))
             for key in want:
                 assert got[key] == pytest.approx(want[key], abs=1e-10), key
+
+    @pytest.mark.parametrize("n", [1, 40, 1001])
+    def test_ladder_arrays_are_computed_once_and_read_only(self, n):
+        c, c_pairs, m_squared = _ladder(n)
+        assert all(a is b for a, b in zip(_ladder(n), (c, c_pairs, m_squared)))
+        for a in (c, c_pairs, m_squared):
+            with pytest.raises(ValueError, match="read-only"):
+                a[:1] = 0.0
+        # the arrays moment_table used to compute on every call, bit for bit
+        m, j = build_basis(n).m_values, n / 2
+        assert np.array_equal(c, 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)))
+        assert np.array_equal(c_pairs, c[:-1] * c[1:])
+        assert np.array_equal(m_squared, m * m)
 
     def test_rejects_unnormalized_column(self):
         basis = build_basis(4)

@@ -94,6 +94,18 @@ GROUND_BLOCKS_ODD = {
     "n_particles": 1001,
     "lambda_grid": [-1.3 + 0.25 * k for k in range(18)] + [1e300, 1e306],
 }
+# ground pairs solved on their support: N = 4000 through both regimes, and
+# even N at Lambda where LAPACK gets a power-of-two scaled H
+GROUND_N4000 = {"n_particles": 4000, "lambda_grid": {"start": -1.5, "stop": 10.0, "num": 47}}
+GROUND_HUGE = {"n_particles": 1000, "lambda_grid": [0.5, 1e160, 1e300]}
+# tilted ground states on their support, on both sides of the transition
+DELTA_SUPPORT = {
+    "n_particles": 1000,
+    "lambda_grid": [-1.2, 3.0],
+    "mode": "delta_mixture",
+    "noise_axis": "sigma_delta",
+    "noise_grid": [0.0, 0.1],
+}
 BLURRED_BLOCKS = {
     "n_particles": 1000,
     "lambda_grid": {"start": -1.3, "stop": 2.0, "num": 19},
@@ -132,6 +144,8 @@ CASES = (
     ("scan-ground-n3", ["scan"], GROUND_N3),
     ("scan-ground-n3-no-rotation", ["scan", "--no-rotation", "--seed", "7"], GROUND_N3),
     ("scan-ground-blocks-odd-n", ["scan"], GROUND_BLOCKS_ODD),
+    ("scan-ground-n4000", ["scan"], GROUND_N4000),
+    ("scan-ground-huge-lambda", ["scan"], GROUND_HUGE),
     ("scan-thermal-readme", ["scan"], THERMAL_README),
     ("scan-thermal-inf", ["scan"], THERMAL_INF),
     ("scan-thermal-tiny-t", ["scan"], THERMAL_TINY),
@@ -145,6 +159,7 @@ CASES = (
     ("scan-delta", ["scan"], DELTA),
     ("scan-delta-transition-point", ["scan"], DELTA_TRANSITION_POINT),
     ("scan-delta-transition", ["scan"], DELTA_TRANSITION),
+    ("scan-delta-support", ["scan"], DELTA_SUPPORT),
     ("scan-negative-zero-lambda", ["scan"], NEGATIVE_ZERO_LAMBDA),
     ("scan-negative-zero-noise", ["scan"], NEGATIVE_ZERO_NOISE),
     ("scan-mc-typo", ["scan"], MC_TYPO),
