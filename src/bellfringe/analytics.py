@@ -64,6 +64,8 @@ def semiclassical_ab(lam: float) -> SemiclassicalPrediction:
 
 def _branch(lam: float) -> tuple[str, float, float]:
     """(regime, zero-temperature xi^2, mode frequency) of the closed forms."""
+    if not math.isfinite(lam):
+        raise ValueError(f"lam = {lam} must be finite")
     if lam == -1.0:
         raise ValueError("lam = -1 lies on the branch boundary")
     if lam < -1.0:

@@ -34,9 +34,9 @@ from .scan import (
 
 CONFIG_ERROR = 1
 COMPUTE_ERROR = 2
-# argparse's own test misses exponents and reads a value such as -5.4e-05 as
-# an option flag
-NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# argparse's own test misses exponents and infinities and reads a value such
+# as -5.4e-05 or -inf as an option flag
+NEGATIVE_NUMBER = re.compile(r"(?i)^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$")
 
 
 def _load_config(path: str) -> dict:

@@ -21,7 +21,7 @@ import math
 import numbers
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .josephson import ModelParams, boltzmann_weights, ground_states, low_spectr
 from .noise import _settled, blur_visibility, delta_column_moments
 from .spin_core import Moments, SpinState, _is_integer, build_basis, compute_moments
 from .spin_core import moment_table, rotate_pi2_about_x
-from .witnesses import VisibilityError, build_report, phase_squeezing, visibility
-from .witnesses import report_from_moments
+from .witnesses import build_report, phase_squeezing, report_from_moments, visibility
 
 __all__ = [
     "ScanSpec",
@@ -61,11 +60,6 @@ FLOOR_ERROR = "visibility below threshold"
 # bisection stops once the bracket on lambda is this narrow
 CROSSING_TOL = 1e-4
 
-CSV_HEADER = (
-    "lambda,noise_value,nu,xi2,a_param,b_param,theta0,"
-    "interior_minimum,rotated,var_phi,error"
-)
-
 # the ScanRow fields a WitnessReport supplies
 ROW_FIELDS = (
     "nu", "xi2", "a_param", "b_param", "theta0", "interior_minimum", "var_phi"
@@ -86,6 +80,10 @@ class ScanRow:
     var_phi: float = float("nan")
     error: str = ""
 
+
+# the CSV columns and JSON keys of a row: its fields, lam written "lambda"
+COLUMNS = tuple("lambda" if f.name == "lam" else f.name for f in fields(ScanRow))
+CSV_HEADER = ",".join(COLUMNS)
 
 # the "mc" block of a config, read by mc-verify: its keys and their defaults
 MC_DEFAULTS = {
@@ -321,8 +319,8 @@ def _scan_rows(spec: ScanSpec, lams, cache=None) -> list:
                     moments = rotate_pi2_about_x(moments)
                 xi2 = phase_squeezing(moments, spec.n_particles)
                 report = build_report(xi2, nu, spec.n_particles, rotated=rotate)
-                fields = {name: getattr(report, name) for name in ROW_FIELDS}
-                rows.append(ScanRow(lam, value, rotated=rotate, **fields))
+                reported = {name: getattr(report, name) for name in ROW_FIELDS}
+                rows.append(ScanRow(lam, value, rotated=rotate, **reported))
             except Exception as exc:
                 rows.append(_error_row(lam, value, rotate, exc))
     return rows
@@ -343,7 +341,8 @@ def run_scan(spec: ScanSpec, threads: int = 1, cache_dir: str = None) -> list:
 def make_evaluator(spec: ScanSpec, column: str = "b_param"):
     """Fresh-model evaluation of one scan column as a function of lambda, at
     the spec's noise value; a spec with more than one is refused, since a
-    crossing along lambda is defined at one noise value."""
+    crossing along lambda is defined at one noise value.  An error row
+    raises RuntimeError naming its lambda and error."""
     if len(spec.noise_grid) != 1:
         raise ValueError(
             f"crossings need a spec with one noise value, got {len(spec.noise_grid)}"
@@ -352,7 +351,7 @@ def make_evaluator(spec: ScanSpec, column: str = "b_param"):
     def evaluate(lam: float) -> float:
         (row,) = _scan_rows(spec, [lam])
         if row.error:
-            raise VisibilityError(row.error)
+            raise RuntimeError(f"evaluation at lambda = {lam!r} failed: {row.error}")
         return getattr(row, column)
 
     return evaluate
@@ -430,15 +429,14 @@ def _fmt(value) -> str:
 def rows_to_csv(rows) -> str:
     lines = [CSV_HEADER]
     for r in rows:
-        # ScanRow fields are in CSV column order, the error message last
-        *values, error = vars(r).values()
+        *values, error = vars(r).values()  # the error message is the last column
         lines.append(",".join([_fmt(v) for v in values] + [error.replace(",", ";")]))
     return "\n".join(lines) + "\n"
 
 
 def _row_dict(r: ScanRow) -> dict:
-    row = {"lambda" if k == "lam" else k: v for k, v in vars(r).items()}
-    return {k: None if v != v else v for k, v in row.items()}  # NaN -> null
+    """A row's JSON object: its columns, NaN written null."""
+    return {k: None if v != v else v for k, v in zip(COLUMNS, vars(r).values())}
 
 
 def _write_output(out_dir: str, name: str, content) -> str:

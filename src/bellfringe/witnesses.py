@@ -2,9 +2,9 @@
 
 Everything here is a pure function of collective-spin moments.  The witness
 comes in two forms: the closed-form intensive expression b = xi^2 +
-(sqrt(1-nu^2)-1)/(2 nu^2), and a direct numerical minimization of the
-extensive two-body Bell expectation over the rotation angle theta.  The two
-differ by a positive state-dependent factor and share only their sign.
+(sqrt(1-nu^2)-1)/(2 nu^2), and the exact minimum of the extensive two-body
+Bell expectation over the rotation angle theta, a quadratic in cos(theta/2).
+The two differ by a positive state-dependent factor and share only their sign.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ __all__ = [
 ]
 
 IDENTITY_TOL = 1e-10
-# minimize_bell_direct: coarse theta grid, then bounded Brent to this width
-BELL_GRID_POINTS = 1024
-BELL_THETA_TOL = 1e-10
 # Rounding excess of 2|<Jx>|/N over 1 that still counts as nu = 1: 32 ulp of
 # 1.0.  The coherent state (lam = 0) reaches up to 8 ulp over N = 1..5000;
 # a real defect, such as a state off unit norm by NORM_TOL, is far larger.
@@ -85,11 +82,10 @@ def fringe_factor(nu: float) -> float:
     return 1.0 - (_fringe_root(nu) + 1.0) / (2.0 * nu ** 2)
 
 
-def bell_theta(n_particles: int, jx: float, jy2: float, theta) -> float:
+def bell_theta(n_particles: int, jx: float, jy2: float, theta: float) -> float:
     """Two-body Bell expectation at rotation angle theta (extensive, ~N)."""
-    c = np.cos(np.asarray(theta) / 2.0)
-    val = 2.0 * n_particles * c * c - 4.0 * jx * c + 8.0 * (1.0 - c * c) * jy2
-    return float(val) if np.isscalar(theta) or np.ndim(theta) == 0 else val
+    c = math.cos(theta / 2.0)
+    return 2.0 * n_particles * c * c - 4.0 * jx * c + 8.0 * (1.0 - c * c) * jy2
 
 
 def optimal_theta(nu: float, xi2: float) -> tuple[float, bool]:
@@ -109,26 +105,25 @@ def optimal_theta(nu: float, xi2: float) -> tuple[float, bool]:
 
 
 def minimize_bell_direct(n_particles: int, moments: Moments) -> tuple[float, float]:
-    """Numerical minimum of bell_theta over theta in [0, pi].
+    """Exact minimum of bell_theta over theta in [0, pi]; (theta_star, b_min).
 
-    Coarse grid scan followed by bounded Brent refinement of the bracketing
-    interval.  Returns (theta_star, b_min).  |<Jx>| is read as at most N/2
-    by the rule of ``visibility``, so rounding cannot push b_min below zero
-    for a coherent state.
+    In c = cos(theta/2) on [0, 1], bell_theta is the quadratic
+    (2N - 8<Jy^2>) c^2 - 4<Jx> c + 8<Jy^2>.  Where it is convex the minimum
+    is at the vertex c = <Jx> / (N - 4<Jy^2>) clipped to [0, 1], else at the
+    lower end, theta = 0 on a tie.  Only these coefficients enter, not
+    (nu, xi^2), so this is a derivation independent of ``optimal_theta``.
+    |<Jx>| is read as at most N/2 by the rule of ``visibility``, so rounding
+    cannot push b_min below zero for a coherent state.
     """
-    # imported here: scipy.optimize costs every CLI run ~20 MB and ~0.1 s
-    from scipy.optimize import minimize_scalar
-
     visibility(moments, n_particles)  # raises beyond the rounding slack
     jx = math.copysign(min(abs(moments.jx), 0.5 * n_particles), moments.jx)
     jy2 = moments.jy2
-    thetas = np.linspace(0.0, math.pi, BELL_GRID_POINTS)
-    i = int(np.argmin(bell_theta(n_particles, jx, jy2, thetas)))
-    bracket = (thetas[max(i - 1, 0)], thetas[min(i + 1, BELL_GRID_POINTS - 1)])
-    theta_star = float(minimize_scalar(
-        lambda theta: bell_theta(n_particles, jx, jy2, theta),
-        bounds=bracket, method="bounded", options={"xatol": BELL_THETA_TOL},
-    ).x)
+    curvature = n_particles - 4.0 * jy2
+    if curvature > 0.0:
+        c = min(max(jx / curvature, 0.0), 1.0)
+    else:  # the ends: theta = 0 (c = 1) gives 2N - 4<Jx>, theta = pi gives 8<Jy^2>
+        c = 1.0 if 2.0 * n_particles - 4.0 * jx <= 8.0 * jy2 else 0.0
+    theta_star = 2.0 * math.acos(c)
     return theta_star, bell_theta(n_particles, jx, jy2, theta_star)
 
 

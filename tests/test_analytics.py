@@ -115,6 +115,22 @@ class TestThermalSqueezing:
             thermal_xi2(-1.0, 0.1)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        semiclassical_ab,
+        lambda lam: thermal_xi2(lam, 0.5),
+        analytic_boundary_temperature,
+        lambda lam: analytic_boundary_sigma(lam, 1.0),
+    ],
+)
+def test_non_finite_lambda_is_refused(closed_form, lam):
+    # no closed form reads a NaN or an infinite lambda as a regime
+    with pytest.raises(ValueError, match="must be finite"):
+        closed_form(lam)
+
+
 class TestThresholds:
     def test_values(self):
         t1, t2, t3 = bell_thresholds()

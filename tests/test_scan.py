@@ -627,6 +627,18 @@ class TestOutputs:
         assert payload["rows"][0]["lambda"] == 0.0
         assert str(tmp_path / "scan.csv") in paths
 
+    def test_csv_and_json_share_one_column_rule(self, tmp_path):
+        spec = ground_spec([-0.9])
+        emit_outputs(run_scan(spec), spec, str(tmp_path))
+        with open(tmp_path / "scan.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        (row,) = json.loads((tmp_path / "scan.json").read_text())["rows"]
+        assert CSV_HEADER == (
+            "lambda,noise_value,nu,xi2,a_param,b_param,theta0,"
+            "interior_minimum,rotated,var_phi,error"
+        )
+        assert header == CSV_HEADER.split(",") and sorted(header) == sorted(row)
+
     def test_csv_parses_with_stdlib(self, tmp_path):
         spec = ground_spec([-0.9])
         emit_outputs(run_scan(spec), spec, str(tmp_path))
@@ -652,6 +664,19 @@ class TestCli:
         assert out[0].endswith("scan.csv")
         assert (tmp_path / "out" / "scan.json").exists()
 
+    def test_scan_seed_flag_overrides_the_config_seed(self, tmp_path):
+        cfg = self.write_config(
+            tmp_path, {"n_particles": 40, "lambda_grid": [-0.9, 0.5], "seed": 0}
+        )
+        plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+        assert cli_main(["scan", "--config", cfg, "--out", str(plain)]) == 0
+        assert cli_main(["scan", "--config", cfg, "--out", str(seeded), "--seed", "5"]) == 0
+        for out, seed in ((plain, 0), (seeded, 5)):
+            payload = json.loads((out / "scan.json").read_text())
+            assert payload["seed"] == payload["spec"]["seed"] == seed
+        # the seed is recorded only: no row depends on it
+        assert (seeded / "scan.csv").read_bytes() == (plain / "scan.csv").read_bytes()
+
     def test_scan_no_rotation_flag(self, tmp_path):
         cfg = self.write_config(tmp_path, {"n_particles": 60, "lambda_grid": [8.0]})
         cli_main(
@@ -671,6 +696,29 @@ class TestCli:
         data = json.loads((tmp_path / "out" / "crossings.json").read_text())
         assert data["column"] == "b_param"
         assert data["crossings"][0] == pytest.approx(-0.75, abs=0.03)
+
+    def test_failed_crossing_evaluation_is_a_computation_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the scan's own rows solve; the bisection's first fresh evaluation
+        # gets a vector of norm 2 and fails its orthonormality check
+        lams = [-0.85, -0.65]
+        cfg = self.write_config(tmp_path, {"n_particles": 400, "lambda_grid": lams})
+        calls = []
+
+        def doubled(*args):
+            w, v = ground_pair(*args)
+            calls.append(None)
+            return (w, v) if len(calls) <= len(lams) else (w, 2.0 * v)
+
+        monkeypatch.setattr(josephson, "_ground_pair", doubled)
+        out = tmp_path / "out"
+        assert cli_main(["crossings", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ")
+        assert f"lambda = {0.5 * (lams[0] + lams[1])!r}" in err
+        assert "ConvergenceError: orthonormality defect" in err
+        assert not (out / "crossings.json").exists()
 
     def test_crossings_refuse_several_noise_values(self, tmp_path, capsys):
         cfg = self.write_config(
@@ -858,13 +906,19 @@ class TestCli:
         assert [s[key] for s in seen] == [on_flag, in_config, MC_DEFAULTS[key]]
 
     def test_cli_import_leaves_out_scipy_optimize(self):
-        # scipy.optimize costs every CLI run ~20 MB; only minimize_bell_direct needs it
+        # scipy.optimize costs every CLI run ~20 MB and ~0.1 s, and no part of
+        # the package needs it: the Bell minimum is a closed form
         src = os.path.dirname(os.path.dirname(bellfringe.__file__))
         code = "import sys, bellfringe.cli; print('scipy.optimize' in sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_analytics_refuses_a_non_finite_lambda(self, capsys, lam):
+        assert cli_main(["analytics", "--lam", lam]) == 1
+        assert "configuration error" in capsys.readouterr().err
 
     def test_analytics_command(self, capsys):
         rc = cli_main(["analytics", "--lam", "8.0", "--lam", "-0.5"])

@@ -127,6 +127,38 @@ class TestOptimalTheta:
         assert bell_theta(10, 3.0, 2.0, 0.0) == pytest.approx(8.0)
         assert bell_theta(10, 3.0, 2.0, math.pi) == pytest.approx(16.0)
 
+    @pytest.mark.parametrize(
+        "jx, jy2, theta, b_min",
+        [
+            (3.0, 0.5, 2.0 * math.acos(3.0 / 8.0), 1.75),  # convex, vertex c = 3/8
+            (4.0, 2.0, 0.0, 4.0),  # convex, vertex c = 2 clipped to c = 1
+            (3.0, 2.5, 0.0, 8.0),  # linear in c: the lower end
+            (-2.0, 3.0, math.pi, 24.0),  # concave: the lower end
+            (-1.0, 3.0, 0.0, 24.0),  # concave, both ends 24: theta = 0
+        ],
+    )
+    def test_direct_minimum_closed_form(self, jx, jy2, theta, b_min):
+        # N = 10: bell_theta = (20 - 8<Jy^2>) c^2 - 4<Jx> c + 8<Jy^2>
+        moments = Moments(jx=jx, jy=0.0, jz=0.0, jx2=0.0, jy2=jy2, jz2=0.0)
+        got_theta, got_b = minimize_bell_direct(10, moments)
+        assert got_theta == pytest.approx(theta, abs=1e-15)
+        assert got_b == pytest.approx(b_min, rel=1e-15, abs=1e-14)
+
+    @given(
+        n=st.integers(min_value=1, max_value=5000),
+        nu=st.floats(min_value=-1.0, max_value=1.0),
+        jy2_scale=st.floats(min_value=0.0, max_value=2.0),
+    )
+    def test_direct_minimum_lies_below_a_dense_grid(self, n, nu, jy2_scale):
+        # no theta of a 4001-point grid beats the closed-form minimum
+        jx, jy2 = nu * n / 2.0, jy2_scale * n * n / 4.0
+        moments = Moments(jx=jx, jy=0.0, jz=0.0, jx2=0.0, jy2=jy2, jz2=0.0)
+        theta_star, b_min = minimize_bell_direct(n, moments)
+        assert 0.0 <= theta_star <= math.pi
+        assert b_min == bell_theta(n, jx, jy2, theta_star)
+        grid = min(bell_theta(n, jx, jy2, t) for t in np.linspace(0.0, math.pi, 4001))
+        assert b_min <= grid + 1e-12 * (n + jy2)
+
 
 class TestWitnessReport:
     def test_build_report_consistency(self):

@@ -179,6 +179,7 @@ CASES = (
     ("mc-verify-flag-over-config", ["mc-verify", "--nu", "0.5", "--seed", "3"], MC_BLOCK),
     ("analytics", ["analytics", "--lam", "-1.3", "--lam", "-0.9", "--lam", "0.0",
                    "--lam", "8.0"], None),
+    ("analytics-non-finite", ["analytics", "--lam", "nan", "--lam", "inf"], None),
 )
 
 
