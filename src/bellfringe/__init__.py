@@ -4,11 +4,9 @@ two-mode Bose gas in a double well."""
 __version__ = "0.1.0"
 
 from .spin_core import (  # noqa: F401
-    DickeBasis,
     Moments,
     SpinState,
     StateEnsemble,
-    build_basis,
     compute_moments,
     ensemble_moments,
     moment_table,

@@ -79,8 +79,8 @@ def _branch(lam: float) -> tuple[str, float, float]:
 
 def thermal_xi2(lam: float, temperature: float) -> float:
     """Finite-temperature squeezing xi0^2 * coth(beta * omega / 2)."""
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    if not 0 <= temperature < math.inf:  # NaN fails too
+        raise ValueError("temperature must be nonnegative and finite")
     _, xi0, omega = _branch(lam)
     if temperature == 0:
         return xi0
@@ -112,8 +112,8 @@ def analytic_boundary_sigma(lam: float, k_fringe: float) -> float:
     1/4 < xi0^2 < 1/2: above 1/2 the witness is never negative, below 1/4 it
     stays negative at any blur.
     """
-    if k_fringe <= 0:
-        raise ValueError("k_fringe must be positive")
+    if not 0 < k_fringe < math.inf:  # NaN fails too
+        raise ValueError("k_fringe must be positive and finite")
     _, xi0, _ = _branch(lam)
     if xi0 >= 0.5:
         raise ValueError("witness is nonnegative already at sigma = 0")

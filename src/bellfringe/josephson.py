@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz, dstein
 
-from .spin_core import SpinState, StateEnsemble, _ladder, build_basis
+from .spin_core import SpinState, StateEnsemble, _is_integer, _ladder
 
 __all__ = [
     "ModelParams",
@@ -73,6 +73,8 @@ class ModelParams:
     delta: float = 0.0
 
     def __post_init__(self):
+        if not _is_integer(self.n_particles):
+            raise TypeError("n_particles must be an integer")
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
         if not (math.isfinite(self.lam) and math.isfinite(self.delta)):
@@ -116,10 +118,9 @@ class Spectrum:
 
 def build_hamiltonian(params: ModelParams) -> SymTridiag:
     """Tridiagonal matrix of the junction Hamiltonian in the Jz basis."""
-    basis = build_basis(params.n_particles)
-    m = basis.m_values
+    m, c = _ladder(params.n_particles)[:2]
     diag = (params.lam / params.n_particles) * m * m + params.delta * m
-    return SymTridiag(diag, -_ladder(params.n_particles)[0])  # -Jx
+    return SymTridiag(diag, -c)  # -Jx
 
 
 def _check_eigenpairs(h: SymTridiag, energies, vectors, gram: bool = True):
@@ -301,8 +302,8 @@ def ground_states(n_particles: int, lam, tilts) -> tuple[np.ndarray, np.ndarray]
     its own full |H|), one norm check and one ``_fix_signs`` call.
     """
     lams, tilts = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(tilts, dtype=float))
-    basis = build_basis(n_particles)
-    m, offdiag = basis.m_values, -_ladder(n_particles)[0]
+    m, c = _ladder(n_particles)[:2]
+    offdiag = -c
     flat = (lams[:, None] / n_particles * m) * m + 0.0 * m  # rows of H(lam, 0)
     diags = flat + tilts[:, None] * m  # row k, contiguous for LAPACK, is column k's
     if not np.isfinite(diags).all():  # checked once here, not per solve
@@ -328,7 +329,7 @@ def ground_state(params: ModelParams) -> tuple[float, SpinState]:
     within rounding of it.
     """
     energies, vectors = ground_states(params.n_particles, params.lam, [params.delta])
-    return float(energies[0]), SpinState(build_basis(params.n_particles), vectors[:, 0])
+    return float(energies[0]), SpinState(vectors[:, 0])
 
 
 def full_spectrum(params: ModelParams) -> Spectrum:
@@ -347,9 +348,7 @@ def full_spectrum(params: ModelParams) -> Spectrum:
             f" {FULL_SPECTRUM_CAP}"
         )
     energies, vectors = _solve(build_hamiltonian(params), params.delta == 0)
-    basis = build_basis(params.n_particles)
-    states = tuple(SpinState(basis, vectors[:, k]) for k in range(vectors.shape[1]))
-    return Spectrum(params, energies, states)
+    return Spectrum(params, energies, tuple(SpinState(v) for v in vectors.T))
 
 
 def low_spectrum(params: ModelParams, temperature: float):
@@ -394,8 +393,8 @@ def thermal_ensemble(params: ModelParams, temperature: float) -> StateEnsemble:
     Weights are exp(-(E_n - E0) / T), normalized to unit sum, over the
     levels ``low_spectrum`` finds occupied: states whose relative weight
     falls below the cutoff are never diagonalized.  T = 0 is the ground
-    state; T = inf is the uniform mixture of the full spectrum (capped at
-    ``FULL_SPECTRUM_CAP``).
+    state; T = inf is I / (N + 1), the same in every basis: the uniform
+    mixture of the N + 1 Dicke states, with no solve.
     """
     if not temperature >= 0:  # NaN fails too
         raise ValueError("temperature must be >= 0")
@@ -403,11 +402,8 @@ def thermal_ensemble(params: ModelParams, temperature: float) -> StateEnsemble:
         _, gs = ground_state(params)
         return StateEnsemble((gs,), np.array([1.0]))
     if math.isinf(temperature):
-        spec = full_spectrum(params)
-        n = len(spec.states)
-        return StateEnsemble(spec.states, np.full(n, 1.0 / n))
-
+        n = params.n_particles + 1
+        return StateEnsemble(tuple(map(SpinState, np.eye(n))), np.full(n, 1.0 / n))
     energies, vectors = low_spectrum(params, temperature)
-    basis = build_basis(params.n_particles)
-    states = tuple(SpinState(basis, vectors[:, k]) for k in range(vectors.shape[1]))
+    states = tuple(SpinState(v) for v in vectors.T)
     return StateEnsemble(states, boltzmann_weights(energies, temperature))

@@ -26,8 +26,7 @@ import numpy as np
 
 from .josephson import ConvergenceError, ModelParams, ground_state, ground_states
 from .josephson import thermal_ensemble
-from .spin_core import Moments, SpinState, StateEnsemble, build_basis, compute_moments
-from .spin_core import moment_table
+from .spin_core import Moments, SpinState, StateEnsemble, compute_moments, moment_table
 from .witnesses import _require_nu_range
 
 __all__ = [
@@ -80,7 +79,11 @@ def split_gaussian_rule(half_order: int, sigma: float) -> QuadratureRule:
     half-axis, out to 10.7 standard deviations, with the Gaussian folded
     into the weights (unit sum).  Nodes are strictly nonzero and symmetric
     about the origin, the positive half last."""
-    d, (w,) = _panel(operator.index(half_order), sigma, [sigma])
+    if not 0 < sigma < math.inf:  # NaN fails too
+        raise ValueError(f"sigma_delta must be positive and finite, got {sigma}")
+    if operator.index(half_order) < 1:
+        raise ValueError(f"half_order must be >= 1, got {half_order}")
+    d, (w,) = _panel(half_order, sigma, [sigma])
     return QuadratureRule(np.concatenate([-d[::-1], d]), np.concatenate([w[::-1], w]))
 
 
@@ -105,10 +108,9 @@ def _tilt_column(n_particles: int, lam: float, sigmas, order: int, check: bool):
         raise ValueError("quadrature order must be a positive odd integer")
     if check and order < 3:  # doubling order 1 gives order 1 again
         raise ValueError("the node-doubling check needs quadrature order >= 3")
-    basis = build_basis(n_particles)
     nodes, weights = _panel((order + 1) // 2, max(sigmas), sigmas)
     states = ground_states(n_particles, lam, nodes)[1]
-    moments = (weights @ moment_table(basis, states)) * MIRROR_PAIR
+    moments = (weights @ moment_table(states)) * MIRROR_PAIR
     drifting = np.full(len(sigmas), check)
     while drifting.any():
         order = 2 * order - 1
@@ -116,7 +118,7 @@ def _tilt_column(n_particles: int, lam: float, sigmas, order: int, check: bool):
         # the coarse nodes are nodes[::2]: the new ones go in between
         new = ground_states(n_particles, lam, nodes[1::2])[1]
         states = np.insert(states, np.arange(1, states.shape[1]), new, axis=1)
-        finer = (weights @ moment_table(basis, states)) * MIRROR_PAIR
+        finer = (weights @ moment_table(states)) * MIRROR_PAIR
         tol = CONVERGENCE_ATOL + CONVERGENCE_RTOL * np.abs(finer)
         drifting &= ~np.all(np.abs(moments - finer) <= tol, axis=1)
         moments = finer
@@ -135,8 +137,8 @@ def delta_column_moments(n_particles: int, lam: float, sigmas) -> list:
     (within ``MIN_SHARED_SIGMA_RATIO``), 0 the pure ground state.  A sigma
     still drifting at ``MAX_QUAD_ORDER`` gets its ConvergenceError, and every
     sigma of a solve that raised gets the exception in place of its moments."""
-    if not all(s >= 0 for s in sigmas):
-        raise ValueError("sigma_delta must be nonnegative")
+    if not all(0 <= s < math.inf for s in sigmas):  # NaN fails too
+        raise ValueError(f"sigma_delta must be nonnegative and finite, got {list(sigmas)}")
     positive = sorted({s for s in sigmas if s > 0}, reverse=True)
     groups = [[0.0]] if 0 in sigmas else []
     while positive:
@@ -178,17 +180,16 @@ def delta_mixture(
     doubled until every ensemble moment is stable to 1e-6 relative, and a
     mixture that is still drifting at the order cap raises ConvergenceError.
     """
-    if sigma_delta < 0:
-        raise ValueError("sigma_delta must be nonnegative")
+    if not 0 <= sigma_delta < math.inf:  # NaN fails too
+        raise ValueError(f"sigma_delta must be nonnegative and finite, got {sigma_delta}")
     if sigma_delta == 0:  # the pure ground state
         return thermal_ensemble(ModelParams(n_particles, lam, 0.0), 0.0)
     states, (moments,) = _tilt_column(n_particles, lam, [sigma_delta], order, check)
     _settled(moments)
     # rows: the mirrored states at the negative nodes, then the positive ones
     rows = np.vstack([states.T[::-1, ::-1], states.T])
-    basis = build_basis(n_particles)
     rule = split_gaussian_rule(states.shape[1], sigma_delta)
-    return StateEnsemble(tuple(SpinState(basis, row) for row in rows), rule.weights)
+    return StateEnsemble(tuple(map(SpinState, rows)), rule.weights)
 
 
 def delta_thermal_mixture(
@@ -201,8 +202,8 @@ def delta_thermal_mixture(
     """Composition of tilt fluctuations with a thermal state: a Boltzmann
     ensemble at every quadrature node.  This combined channel is an
     extension beyond the single-axis noise scans."""
-    if not sigma_delta >= 0:  # NaN fails too
-        raise ValueError("sigma_delta must be nonnegative")
+    if not 0 <= sigma_delta < math.inf:  # NaN fails too
+        raise ValueError(f"sigma_delta must be nonnegative and finite, got {sigma_delta}")
     if sigma_delta == 0:
         return thermal_ensemble(ModelParams(n_particles, lam, 0.0), temperature)
     if temperature == 0:
@@ -214,7 +215,7 @@ def delta_thermal_mixture(
         ens = thermal_ensemble(ModelParams(n_particles, lam, delta), temperature)
         # H(-delta) = P H(delta) P with P the m -> -m parity: the spectrum at
         # -delta is the same and its eigenstates are the reversed vectors
-        mirrored = (SpinState(st.basis, st.coeffs[::-1].copy()) for st in ens.states)
+        mirrored = (SpinState(st.coeffs[::-1].copy()) for st in ens.states)
         states += [*ens.states, *mirrored]
         weights += [w * ens.weights] * 2
     return StateEnsemble(tuple(states), np.concatenate(weights))

@@ -29,8 +29,8 @@ from . import __version__
 from .fringe_mc import FringeParams, _require_bench_ranges
 from .josephson import ModelParams, boltzmann_weights, ground_states, low_spectrum
 from .noise import _settled, blur_visibility, delta_column_moments
-from .spin_core import Moments, SpinState, _is_integer, build_basis, compute_moments
-from .spin_core import moment_table, rotate_pi2_about_x
+from .spin_core import Moments, SpinState, _is_integer, compute_moments, moment_table
+from .spin_core import rotate_pi2_about_x
 from .witnesses import build_report, phase_squeezing, report_from_moments, visibility
 
 __all__ = [
@@ -204,7 +204,7 @@ def _expand_grid(grid):
 def _thermal_table(params: ModelParams, temperature: float):
     """Energies and K x 6 moment table of the levels occupied at T."""
     energies, vectors = low_spectrum(params, temperature)
-    return energies, moment_table(build_basis(params.n_particles), vectors)
+    return energies, moment_table(vectors)
 
 
 class SpectrumCache:
@@ -257,12 +257,12 @@ def _ground_moments(n_particles: int, lams, block: int = GROUND_BLOCK) -> list:
     """Per lambda, its ground-state Moments or the exception its solve ended in:
     ``block`` lambdas per ``ground_states`` call, a failed block again one by
     one, moments per column (a block's ``moment_table`` rounds by its width)."""
-    basis, found = build_basis(n_particles), []
+    found = []
     for lo in range(0, len(lams), block):
         part = lams[lo:lo + block]
         try:
             vectors = ground_states(n_particles, part, 0.0)[1]
-            found += [compute_moments(SpinState(basis, v)) for v in vectors.T]
+            found += [compute_moments(SpinState(v)) for v in vectors.T]
         except Exception as exc:
             found += [exc] if len(part) == 1 else _ground_moments(n_particles, part, 1)
     return found

@@ -4,6 +4,8 @@ All states live in the maximal-spin manifold j = N/2 of N two-mode bosons
 and carry real coefficients, which is sufficient here because the Josephson
 Hamiltonian is real symmetric in the Jz eigenbasis.  With real coefficients
 <Jy> vanishes identically, so moments are characterized by five numbers.
+N alone fixes the ladder m = -j ... j and its J+/- elements: ``_ladder(N)``
+computes them once per N, and a state's N is its coefficient count minus one.
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "DickeBasis",
     "SpinState",
     "StateEnsemble",
     "Moments",
-    "build_basis",
     "moment_table",
     "compute_moments",
     "ensemble_moments",
@@ -32,33 +32,20 @@ MOMENT_BLOCK = 64
 
 
 @dataclass(frozen=True)
-class DickeBasis:
-    """Labeling of the |j, m> ladder for N particles, m = -j ... +j."""
-
-    n_particles: int
-    j: float
-    m_values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.m_values) != self.n_particles + 1:
-            raise ValueError("m_values must have length N+1")
-
-
-@dataclass(frozen=True)
 class SpinState:
-    """Real coefficient vector over the Dicke ladder of its basis."""
+    """Real coefficients psi_m over the Dicke ladder m = -j ... j of the
+    N = len(coeffs) - 1 particles."""
 
-    basis: DickeBasis
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if len(self.coeffs) != len(self.basis.m_values):
-            raise ValueError("coefficient vector does not match basis size")
+        if len(self.coeffs) < 2:
+            raise ValueError("a spin state needs N + 1 >= 2 coefficients")
 
 
 @dataclass(frozen=True)
 class StateEnsemble:
-    """Convex mixture of SpinStates (all sharing one basis)."""
+    """Convex mixture of SpinStates (all of one N)."""
 
     states: tuple
     weights: np.ndarray
@@ -92,36 +79,31 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def build_basis(n_particles: int) -> DickeBasis:
-    """Dicke ladder for ``n_particles`` bosons: j = N/2, m = -j, ..., +j."""
+@lru_cache(maxsize=8, typed=True)  # typed: True and 2.0 must not hit 1 and 2
+def _ladder(n_particles: int) -> tuple[np.ndarray, ...]:
+    """Read-only Dicke ladder of N particles, computed once per N: m = -j ...
+    j (j = N/2), the c_m = <m+1| J+ |m> / 2 for m < j, the products
+    c_m c_(m+1), and m^2."""
     if not _is_integer(n_particles):
         raise TypeError("particle count must be an integer")
     if n_particles < 1:
         raise ValueError("particle count must be >= 1")
     j = n_particles / 2.0
-    m_values = np.arange(n_particles + 1) - j
-    return DickeBasis(int(n_particles), j, m_values)
-
-
-@lru_cache(maxsize=8)
-def _ladder(n_particles: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only ladder arrays of N particles, computed once per N: the c_m
-    = <m+1| J+ |m> / 2 for m = -j ... j-1, the products c_m c_(m+1), and m^2."""
-    m, j = build_basis(n_particles).m_values, n_particles / 2.0
+    m = np.arange(n_particles + 1) - j
     c = 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1))
-    arrays = (c, c[:-1] * c[1:], m * m)
+    arrays = (m, c, c[:-1] * c[1:], m * m)
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def moment_table(basis: DickeBasis, vectors: np.ndarray) -> np.ndarray:
+def moment_table(vectors: np.ndarray) -> np.ndarray:
     """Spin moments of every column of a block of normalized real states,
     O(N) per column.
 
     Returns a K x 6 table whose rows are (<Jx>, <Jy>, <Jz>, <Jx^2>, <Jy^2>,
-    <Jz^2>) for the K columns of the (N+1) x K block, in the field order of
-    ``Moments``.  Uses the J+/J- decomposition: the one-step couplings c_m
+    <Jz^2>) for the K columns of the (N+1) x K block, N >= 1, in the field
+    order of ``Moments``.  Uses the J+/J- decomposition: the one-step couplings c_m
     give <Jx>, the two-step couplings c_m c_{m+1} give the anisotropy between
     <Jx^2> and <Jy^2> on top of the isotropic part <J^2 - Jz^2>/2.
     """
@@ -132,8 +114,9 @@ def moment_table(basis: DickeBasis, vectors: np.ndarray) -> np.ndarray:
     if off.max() > NORM_TOL:
         worst = float(norm2[off.argmax()])
         raise ValueError(f"state not normalized: |psi|^2 = {worst!r}")
-    m, j = basis.m_values, basis.j
-    c, c_pairs, m_squared = _ladder(basis.n_particles)
+    n = len(psi) - 1
+    m, c, c_pairs, m_squared = _ladder(n)
+    j = n / 2.0
 
     table = np.zeros((6, psi.shape[1]))  # one row per Moments field; <Jy> = 0
     table[0] = 2.0 * (c @ (psi[:-1] * psi[1:]))
@@ -154,19 +137,18 @@ def compute_moments(state: SpinState) -> Moments:
     """Spin moments of a normalized real-coefficient state (one-column
     ``moment_table``)."""
     column = np.asarray(state.coeffs)[:, None]
-    return Moments(*moment_table(state.basis, column)[0].tolist())
+    return Moments(*moment_table(column)[0].tolist())
 
 
 def ensemble_moments(ensemble: StateEnsemble) -> Moments:
     """Weight-averaged moments; moments are linear in the density matrix.
     Blocks of ``MOMENT_BLOCK`` states keep the working memory flat."""
-    basis = ensemble.states[0].basis
     weights = np.asarray(ensemble.weights, dtype=float)
     total = np.zeros(6)
     for lo in range(0, len(weights), MOMENT_BLOCK):
         chunk = slice(lo, lo + MOMENT_BLOCK)
         block = np.column_stack([st.coeffs for st in ensemble.states[chunk]])
-        total += weights[chunk] @ moment_table(basis, block)
+        total += weights[chunk] @ moment_table(block)
     return Moments(*total)
 
 

@@ -110,6 +110,12 @@ class TestThermalSqueezing:
         with pytest.raises(ValueError):
             thermal_xi2(1.0, -0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_temperature(self, t):
+        # NaN used to come back as NaN, and inf to divide by tanh(0) = 0
+        with pytest.raises(ValueError, match="temperature must be nonnegative and finite"):
+            thermal_xi2(0.5, t)
+
     def test_branch_boundary(self):
         with pytest.raises(ValueError):
             thermal_xi2(-1.0, 0.1)
@@ -194,3 +200,9 @@ class TestBoundarySolvers:
             analytic_boundary_sigma(100.0, 1.0)  # xi0^2 < 1/4: always negative
         with pytest.raises(ValueError):
             analytic_boundary_sigma(8.0, 0.0)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_sigma_rejects_bad_k(self, k):
+        # NaN used to give a NaN width, and inf a width of 0
+        with pytest.raises(ValueError, match="k_fringe must be positive and finite"):
+            analytic_boundary_sigma(8.0, k)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from scipy.linalg import eigh_tridiagonal
 from bellfringe import (
     ConvergenceError,
     ModelParams,
+    ScanSpec,
     SpinState,
-    build_basis,
+    StateEnsemble,
     build_hamiltonian,
     compute_moments,
     delta_mixture,
@@ -23,7 +25,7 @@ from bellfringe import (
     thermal_xi2,
     visibility,
 )
-from bellfringe import josephson
+from bellfringe import josephson, scan
 from bellfringe.josephson import (
     FULL_SPECTRUM_CAP,
     RESIDUAL_TOL,
@@ -32,6 +34,7 @@ from bellfringe.josephson import (
     _fix_signs,
     boltzmann_weights,
 )
+from bellfringe.spin_core import _ladder
 
 from oracles import dense_hamiltonian, dense_moments, sparse_moments, tridiagonal_ground
 
@@ -66,13 +69,19 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             ModelParams(5, math.inf, 0.0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_rejects_non_integer_particle_count(self, n):
+        # refused where the parameters are made, not first by build_hamiltonian
+        with pytest.raises(TypeError, match="n_particles must be an integer"):
+            ModelParams(n, 1.0)
+
 
 class TestSymTridiag:
     def block(self):
         """Three Hamiltonians sharing an off-diagonal: one diagonal per column."""
         h0 = build_hamiltonian(ModelParams(7, -1.2, 0.0))
         tilts = np.array([0.0, 0.3, -2.0])
-        m = build_basis(7).m_values
+        m = _ladder(7)[0]
         return h0, SymTridiag(h0.diag[:, None] + m[:, None] * tilts, h0.offdiag), tilts
 
     def test_two_dimensional_diag_is_one_h_per_column(self):
@@ -190,11 +199,10 @@ class TestGroundStates:
     @pytest.mark.parametrize("lam", [-1.2, -0.5, 3.0])
     def test_columns_match_dense_ground_states(self, n, lam):
         energies, vectors = ground_states(n, lam, TILTS)
-        basis = build_basis(n)
         for k, delta in enumerate(TILTS):
             dense_e, dense_v = np.linalg.eigh(dense_hamiltonian(n, lam, delta))
             assert energies[k] == pytest.approx(dense_e[0], abs=1e-10)
-            got = compute_moments(SpinState(basis, vectors[:, k]))
+            got = compute_moments(SpinState(vectors[:, k]))
             want = dense_moments(n, dense_v[:, 0])
             for name, value in want.items():
                 assert getattr(got, name) == pytest.approx(value, rel=1e-10, abs=1e-10)
@@ -303,7 +311,6 @@ class TestSupportSolve:
     def test_columns_match_the_oracle(self, n):
         lams, tilts = (grid.ravel() for grid in np.meshgrid(SUPPORT_LAMS, SUPPORT_TILTS))
         energies, vectors = ground_states(n, lams, tilts)
-        basis = build_basis(n)
         for k, (lam, delta) in enumerate(zip(lams, tilts)):
             if n <= 200:
                 dense_e, dense_v = np.linalg.eigh(dense_hamiltonian(n, lam, delta))
@@ -314,7 +321,7 @@ class TestSupportSolve:
                 want = sparse_moments(n, psi)
             norm = build_hamiltonian(ModelParams(n, lam, delta)).norm_estimate
             assert energies[k] == pytest.approx(e0, rel=0, abs=1e-13 * norm)
-            got = compute_moments(SpinState(basis, vectors[:, k]))
+            got = compute_moments(SpinState(vectors[:, k]))
             got = [got.jx, got.jy, got.jz, got.jx2, got.jy2, got.jz2]
             if e1 - e0 <= RESOLVED_GAP * norm:
                 # the doublet of lam < -1 at small tilt: a solver's vector mixes
@@ -537,6 +544,27 @@ class TestThermalEnsemble:
         assert len(ens.states) == 7
         assert np.allclose(ens.weights, 1 / 7)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 12])
+    @pytest.mark.parametrize("lam, delta", [(-1.4, 0.0), (0.5, 0.0), (2.0, -0.3)])
+    def test_infinite_temperature_is_closed_form(self, n, lam, delta, monkeypatch):
+        # I / (N + 1) in any basis: the full-spectrum mixture, and the scan's
+        # closed form, without a solve
+        params = ModelParams(n, lam, delta)
+        spec = full_spectrum(params)
+        want = ensemble_moments(StateEnsemble(spec.states, np.full(n + 1, 1.0 / (n + 1))))
+        uniform = scan._column_moments(
+            ScanSpec(n, (lam,), "thermal", "temperature", (math.inf,)), lam, False, None, None
+        )[0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("T = inf must not diagonalize")
+
+        monkeypatch.setattr(josephson, "full_spectrum", refuse)
+        monkeypatch.setattr(josephson, "low_spectrum", refuse)
+        got = ensemble_moments(thermal_ensemble(params, math.inf))
+        for ref in (want, uniform):
+            assert np.allclose(astuple(got), astuple(ref), rtol=0, atol=1e-12)
+
     def test_low_temperature_ground_moments(self):
         params = ModelParams(60, 0.5, 0.0)
         cold = ensemble_moments(thermal_ensemble(params, 1e-4))
@@ -556,7 +584,7 @@ class TestThermalEnsemble:
 
     @pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
     def test_low_spectrum_needs_a_finite_nonnegative_temperature(self, t):
-        # T = inf occupies every level: that is full_spectrum, capped there
+        # T = inf occupies every level: thermal_ensemble's closed form
         with pytest.raises(ValueError, match="finite temperature >= 0"):
             josephson.low_spectrum(ModelParams(10, 0.0, 0.0), t)
 

@@ -57,6 +57,16 @@ class TestSplitGaussianRule:
         assert np.allclose(rule.nodes, -rule.nodes[::-1])
         assert np.all(rule.nodes[15:] > 0.0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.1, math.nan, math.inf])
+    def test_rejects_bad_width(self, sigma):
+        # 0 divided by zero, -0.1 gave descending nodes, NaN an all-NaN rule
+        with pytest.raises(ValueError, match="sigma_delta must be positive and finite"):
+            split_gaussian_rule(5, sigma)
+
+    def test_rejects_empty_panel(self):
+        with pytest.raises(ValueError, match="half_order must be >= 1"):
+            split_gaussian_rule(0, 0.1)
+
     @pytest.mark.parametrize("half", [2, 6, 11, 21, 41, 81, 161, 321])
     def test_coarse_nodes_are_every_other_fine_node(self, half):
         # node doubling reuses every coarse solve, so the nesting is exact
@@ -162,6 +172,20 @@ class TestDeltaColumn:
         for sigmas in ([0.1, -0.1], [math.nan]):
             with pytest.raises(ValueError, match="nonnegative"):
                 delta_column_moments(10, 0.0, sigmas)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_every_entry_point_rejects_bad_sigma(self, sigma):
+        # inf used to die in the panel on a RuntimeWarning, and NaN to be
+        # reported as a non-finite Hamiltonian
+        for solve in (
+            lambda: delta_column_moments(10, 0.5, [0.1, sigma]),
+            lambda: delta_mixture_moments(10, 0.5, sigma),
+            lambda: delta_mixture(10, 0.5, sigma),
+            lambda: delta_thermal_mixture(10, 0.5, sigma, 0.0),
+            lambda: delta_thermal_mixture(10, 0.5, sigma, 0.5, order=5),
+        ):
+            with pytest.raises(ValueError, match="sigma_delta must be nonnegative and finite"):
+                solve()
 
 
 class TestDeltaThermalMixture:

@@ -7,7 +7,6 @@ from bellfringe import (
     ModelParams,
     SpinState,
     StateEnsemble,
-    build_basis,
     compute_moments,
     ensemble_moments,
     ground_state,
@@ -26,32 +25,41 @@ def coherent_x_state(n):
 
 
 class TestBuildBasis:
+    """The Dicke ladder m = -j ... j that N fixes, as ``_ladder`` builds it."""
+
     def test_n2(self):
-        basis = build_basis(2)
-        assert basis.j == 1.0
-        assert np.array_equal(basis.m_values, [-1.0, 0.0, 1.0])
+        m = _ladder(2)[0]
+        assert -m[0] == 1.0  # j
+        assert np.array_equal(m, [-1.0, 0.0, 1.0])
 
     def test_n1_half_integer(self):
-        basis = build_basis(1)
-        assert np.array_equal(basis.m_values, [-0.5, 0.5])
+        assert np.array_equal(_ladder(1)[0], [-0.5, 0.5])
 
     def test_n1000(self):
-        basis = build_basis(1000)
-        assert len(basis.m_values) == 1001
-        assert basis.j == 500.0
+        m = _ladder(1000)[0]
+        assert len(m) == 1001
+        assert -m[0] == m[-1] == 500.0  # j
 
     @pytest.mark.parametrize("bad", [0, -3])
     def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            build_basis(bad)
+        _ladder(1), _ladder(2)  # a cached N must not answer for a bad one
+        with pytest.raises(ValueError, match=">= 1"):
+            _ladder(bad)
 
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
-            build_basis(2.5)
+            _ladder(2.5)
+
+    @pytest.mark.parametrize("bad", [2.0, True, np.float64(1.0)])
+    def test_rejects_non_integer_equal_to_a_cached_n(self, bad):
+        # 2.0 and True hash like 2 and 1: the cache must not serve them
+        _ladder(1), _ladder(2)
+        with pytest.raises(TypeError, match="integer"):
+            _ladder(bad)
 
     def test_m_values_unit_step_symmetric(self):
         for n in (1, 2, 5, 8):
-            m = build_basis(n).m_values
+            m = _ladder(n)[0]
             assert np.allclose(np.diff(m), 1.0)
             assert np.allclose(m, -m[::-1])
 
@@ -67,27 +75,30 @@ class TestComputeMoments:
 
     def test_stretched_state(self):
         n = 6
-        basis = build_basis(n)
         coeffs = np.zeros(n + 1)
         coeffs[-1] = 1.0  # |j, m=j>
-        m = compute_moments(SpinState(basis, coeffs))
+        m = compute_moments(SpinState(coeffs))
         j = n / 2
         assert m.jx == 0.0
         assert m.jz == pytest.approx(j)
         assert m.jz2 == pytest.approx(j * j)
 
     def test_rejects_unnormalized(self):
-        basis = build_basis(4)
         with pytest.raises(ValueError, match="normalized"):
-            compute_moments(SpinState(basis, np.full(5, 1.0)))
+            compute_moments(SpinState(np.full(5, 1.0)))
+
+    @pytest.mark.parametrize("coeffs", [[1.0], []])
+    def test_rejects_fewer_than_two_coefficients(self, coeffs):
+        # N = len(coeffs) - 1 must be at least 1
+        with pytest.raises(ValueError, match="2 coefficients"):
+            SpinState(np.array(coeffs))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dense_oracle(self, n):
         rng = np.random.default_rng(100 + n)
-        basis = build_basis(n)
         for _ in range(5):
             psi = random_real_state(n, rng)
-            got = compute_moments(SpinState(basis, psi))
+            got = compute_moments(SpinState(psi))
             want = dense_moments(n, psi)
             for key in want:
                 assert getattr(got, key) == pytest.approx(want[key], abs=1e-10), key
@@ -95,16 +106,14 @@ class TestComputeMoments:
     @pytest.mark.parametrize("n", [1, 3, 7, 20, 101])
     def test_casimir_identity(self, n):
         rng = np.random.default_rng(n)
-        basis = build_basis(n)
         j = n / 2
         for _ in range(3):
-            m = compute_moments(SpinState(basis, random_real_state(n, rng)))
+            m = compute_moments(SpinState(random_real_state(n, rng)))
             assert m.jx2 + m.jy2 + m.jz2 == pytest.approx(j * (j + 1), abs=1e-9)
 
     def test_jy_zero_for_real_states(self):
         rng = np.random.default_rng(5)
-        basis = build_basis(9)
-        m = compute_moments(SpinState(basis, random_real_state(9, rng)))
+        m = compute_moments(SpinState(random_real_state(9, rng)))
         assert m.jy == 0.0
 
 
@@ -113,7 +122,7 @@ class TestMomentTable:
     def test_columns_match_dense_oracle(self, n):
         rng = np.random.default_rng(200 + n)
         block = np.column_stack([random_real_state(n, rng) for _ in range(6)])
-        table = moment_table(build_basis(n), block)
+        table = moment_table(block)
         assert table.shape == (6, 6)
         for row, psi in zip(table, block.T):
             want = dense_moments(n, psi)
@@ -121,30 +130,34 @@ class TestMomentTable:
             for key in want:
                 assert got[key] == pytest.approx(want[key], abs=1e-10), key
 
-    @pytest.mark.parametrize("n", [1, 40, 1001])
+    @pytest.mark.parametrize("n", [1, 40, 1001, np.int64(6)])
     def test_ladder_arrays_are_computed_once_and_read_only(self, n):
-        c, c_pairs, m_squared = _ladder(n)
-        assert all(a is b for a, b in zip(_ladder(n), (c, c_pairs, m_squared)))
-        for a in (c, c_pairs, m_squared):
+        m, c, c_pairs, m_squared = _ladder(n)
+        assert all(a is b for a, b in zip(_ladder(n), (m, c, c_pairs, m_squared)))
+        for a in (m, c, c_pairs, m_squared):
             with pytest.raises(ValueError, match="read-only"):
                 a[:1] = 0.0
         # the arrays moment_table used to compute on every call, bit for bit
-        m, j = build_basis(n).m_values, n / 2
+        j = n / 2
+        assert np.array_equal(m, np.arange(n + 1) - j) and m.dtype == np.float64
         assert np.array_equal(c, 0.5 * np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)))
         assert np.array_equal(c_pairs, c[:-1] * c[1:])
         assert np.array_equal(m_squared, m * m)
 
     def test_rejects_unnormalized_column(self):
-        basis = build_basis(4)
         block = np.column_stack([coherent_x_state(4).coeffs, np.full(5, 1.0)])
         with pytest.raises(ValueError, match="normalized"):
-            moment_table(basis, block)
+            moment_table(block)
+
+    def test_rejects_one_row_block(self):
+        # one row would be N = 0 particles: normalized, but no ladder
+        with pytest.raises(ValueError, match=">= 1"):
+            moment_table(np.ones((1, 3)))
 
     def test_ensemble_matches_weighted_loop(self):
         # reference: the weighted per-state sum ensemble_moments replaced
         rng = np.random.default_rng(17)
-        basis = build_basis(30)
-        states = tuple(SpinState(basis, random_real_state(30, rng)) for _ in range(9))
+        states = tuple(SpinState(random_real_state(30, rng)) for _ in range(9))
         weights = rng.random(9)
         weights /= weights.sum()
         want = np.zeros(6)
@@ -167,13 +180,12 @@ class TestEnsembleMoments:
 
     def test_equal_mixture_of_poles(self):
         n = 6
-        basis = build_basis(n)
         up = np.zeros(n + 1)
         up[-1] = 1.0
         down = np.zeros(n + 1)
         down[0] = 1.0
         ens = StateEnsemble(
-            (SpinState(basis, up), SpinState(basis, down)), np.array([0.5, 0.5])
+            (SpinState(up), SpinState(down)), np.array([0.5, 0.5])
         )
         m = ensemble_moments(ens)
         assert m.jz == pytest.approx(0.0)
@@ -215,8 +227,7 @@ class TestRotation:
 
     def test_fourfold_identity(self):
         rng = np.random.default_rng(11)
-        basis = build_basis(7)
-        m = compute_moments(SpinState(basis, random_real_state(7, rng)))
+        m = compute_moments(SpinState(random_real_state(7, rng)))
         r = m
         for _ in range(4):
             r = rotate_pi2_about_x(r)
