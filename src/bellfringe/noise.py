@@ -26,7 +26,8 @@ import numpy as np
 
 from .josephson import ConvergenceError, ModelParams, ground_state, ground_states
 from .josephson import thermal_ensemble
-from .spin_core import Moments, SpinState, StateEnsemble, compute_moments, moment_table
+from .spin_core import Moments, SpinState, StateEnsemble, _is_integer, compute_moments
+from .spin_core import moment_table
 from .witnesses import _require_nu_range
 
 __all__ = [
@@ -98,14 +99,20 @@ def _settled(result):
     return result
 
 
+def _check_mixture(sigma_delta: float, order: int) -> None:
+    """The one check of a tilt mixture's width and quadrature order."""
+    if not 0 <= sigma_delta < math.inf:  # NaN fails too
+        raise ValueError(f"sigma_delta must be nonnegative and finite, got {sigma_delta}")
+    if not (_is_integer(order) and order >= 1 and order % 2 == 1):
+        raise ValueError(f"quadrature order must be a positive odd integer, got {order!r}")
+
+
 def _tilt_column(n_particles: int, lam: float, sigmas, order: int, check: bool):
-    """The panel of (order + 1) / 2 points for the positive ``sigmas`` of one
-    lambda, scaled by the widest.  With ``check`` on, its t-step is halved
-    until each sigma's moments are stable between two levels.  Returns the
-    ground states at the nodes (columns) and per sigma its moments, or the
-    ConvergenceError of one still drifting at the cap."""
-    if order < 1 or order % 2 == 0:
-        raise ValueError("quadrature order must be a positive odd integer")
+    """The panel of (order + 1) / 2 points, for an odd order its caller has
+    checked, on the positive ``sigmas`` of one lambda, scaled by the widest.
+    With ``check`` on, its t-step is halved until each sigma's moments are
+    stable between two levels.  Returns the ground states at the nodes
+    (columns) and per sigma its moments, or the ConvergenceError at the cap."""
     if check and order < 3:  # doubling order 1 gives order 1 again
         raise ValueError("the node-doubling check needs quadrature order >= 3")
     nodes, weights = _panel((order + 1) // 2, max(sigmas), sigmas)
@@ -180,8 +187,7 @@ def delta_mixture(
     doubled until every ensemble moment is stable to 1e-6 relative, and a
     mixture that is still drifting at the order cap raises ConvergenceError.
     """
-    if not 0 <= sigma_delta < math.inf:  # NaN fails too
-        raise ValueError(f"sigma_delta must be nonnegative and finite, got {sigma_delta}")
+    _check_mixture(sigma_delta, order)
     if sigma_delta == 0:  # the pure ground state
         return thermal_ensemble(ModelParams(n_particles, lam, 0.0), 0.0)
     states, (moments,) = _tilt_column(n_particles, lam, [sigma_delta], order, check)
@@ -202,8 +208,7 @@ def delta_thermal_mixture(
     """Composition of tilt fluctuations with a thermal state: a Boltzmann
     ensemble at every quadrature node.  This combined channel is an
     extension beyond the single-axis noise scans."""
-    if not 0 <= sigma_delta < math.inf:  # NaN fails too
-        raise ValueError(f"sigma_delta must be nonnegative and finite, got {sigma_delta}")
+    _check_mixture(sigma_delta, order)
     if sigma_delta == 0:
         return thermal_ensemble(ModelParams(n_particles, lam, 0.0), temperature)
     if temperature == 0:

@@ -7,7 +7,8 @@ ground and blurred modes, the one ground-state row, solved in lambda blocks
 (blurred also checks its unblurred report); delta_mixture, the quadrature
 mixtures of all its sigma_delta on one tilt grid; thermal, Boltzmann
 averages of a K x 6 moment table of the levels the largest finite T
-occupies, solved once (T = 0 reads its ground row, and T = inf is the
+occupies, solved once or read from a cache directory that serves a table
+only to its exact key (T = 0 reads its ground row, and T = inf is the
 uniform mixture).  One row path then probes the visibility floor (after any
 blur), rotates, forms (xi^2, nu) and builds the witness report.  A failure at
 one point becomes an error row; a failed column solve fails the column.
@@ -36,7 +37,6 @@ from .witnesses import build_report, phase_squeezing, report_from_moments, visib
 __all__ = [
     "ScanSpec",
     "ScanRow",
-    "SpectrumCache",
     "run_scan",
     "find_zero_crossings",
     "make_evaluator",
@@ -201,39 +201,24 @@ def _expand_grid(grid):
     return grid  # ScanSpec makes every value a float
 
 
-def _thermal_table(params: ModelParams, temperature: float):
-    """Energies and K x 6 moment table of the levels occupied at T."""
+def _thermal_table(params: ModelParams, temperature: float, cache_dir: str = None):
+    """Energies and K x 6 moment table of the levels occupied at T.
+
+    With ``cache_dir``, the table is stored there as the sha256 of
+    ``repr((params, temperature))`` plus ".npz", and served only to that
+    key, so a cached scan gives the bytes of an uncached one whatever the
+    directory holds.  Moments are quadratic in the eigenvectors, so the
+    table does not depend on their signs.  A file is written to a temporary
+    name and atomically renamed: concurrent writers cannot corrupt it."""
+    digest = hashlib.sha256(repr((params, temperature)).encode()).hexdigest()
+    path = os.path.join(cache_dir, f"{digest}.npz") if cache_dir else None
+    if path and os.path.exists(path):
+        with np.load(path) as data:
+            return data["energies"], data["table"]
     energies, vectors = low_spectrum(params, temperature)
-    return energies, moment_table(vectors)
-
-
-class SpectrumCache:
-    """On-disk memoization of ``_thermal_table`` keyed by (N, lam, delta, T).
-
-    A thermal column asks for the table at its largest finite T.  A file is
-    served only to its own key, so a cached scan gives the bytes of an
-    uncached one whatever the directory already holds.  Moments are
-    quadratic in the eigenvectors, so the table does not depend on their
-    sign convention.  Files are written to a temporary name and atomically
-    renamed, so concurrent writers cannot corrupt each other.
-    """
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-
-    def _path(self, params: ModelParams, temperature: float) -> str:
-        digest = hashlib.sha256(repr((params, temperature)).encode()).hexdigest()
-        return os.path.join(self.directory, f"{digest}.npz")
-
-    def moment_table(self, params: ModelParams, temperature: float):
-        """``_thermal_table(params, temperature)``, stored under its key."""
-        path = self._path(params, temperature)
-        if os.path.exists(path):
-            with np.load(path) as data:
-                return data["energies"], data["table"]
-        energies, table = _thermal_table(params, temperature)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+    table = moment_table(vectors)
+    if path:
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
             # write through the descriptor: np.savez would append ".npz" to a
             # bare filename and break the atomic rename
@@ -243,7 +228,7 @@ class SpectrumCache:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        return energies, table
+    return energies, table
 
 
 def _error_row(lam, noise_value, rotate, error) -> ScanRow:
@@ -268,7 +253,7 @@ def _ground_moments(n_particles: int, lams, block: int = GROUND_BLOCK) -> list:
     return found
 
 
-def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache, ground) -> list:
+def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache_dir, ground) -> list:
     """The moments of one lambda column at each value of the spec's noise
     grid, in order: each the Moments or the exception its solve ended in."""
     n = spec.n_particles
@@ -282,8 +267,7 @@ def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache, ground) -> 
         return [moments] * len(spec.noise_grid)
     finite = [t for t in spec.noise_grid if not math.isinf(t)]
     if finite:
-        solve = cache.moment_table if cache else _thermal_table
-        energies, table = solve(ModelParams(n, lam, 0.0), max(finite))
+        energies, table = _thermal_table(ModelParams(n, lam, 0.0), max(finite), cache_dir)
     # T = inf is the uniform mixture: no <Jx>, each <Ji^2> = j(j+1)/3
     uniform = Moments(0.0, 0.0, 0.0, *[n * (n + 2) / 12] * 3)
     return [
@@ -293,7 +277,7 @@ def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache, ground) -> 
     ]
 
 
-def _scan_rows(spec: ScanSpec, lams, cache=None) -> list:
+def _scan_rows(spec: ScanSpec, lams, cache_dir=None) -> list:
     """Rows of the lambda columns ``lams``, in order: the moments of each
     column at each noise value (ground states of all columns first), then
     the nu floor, blur, rotation and witness report, the same in every mode."""
@@ -303,7 +287,7 @@ def _scan_rows(spec: ScanSpec, lams, cache=None) -> list:
     for lam, solved in zip(lams, ground):
         rotate = spec.rotation == "auto" and lam > 0
         try:
-            column = _column_moments(spec, lam, rotate, cache, solved)
+            column = _column_moments(spec, lam, rotate, cache_dir, solved)
         except Exception as exc:  # fails every row of the column
             column = [exc] * len(spec.noise_grid)
         for value, found in zip(spec.noise_grid, column):
@@ -334,8 +318,9 @@ def run_scan(spec: ScanSpec, threads: int = 1, cache_dir: str = None) -> list:
     """
     if threads < 1:
         raise ValueError(f"the thread count must be >= 1, got {threads}")
-    cache = SpectrumCache(cache_dir) if cache_dir else None
-    return _scan_rows(spec, spec.lambda_grid, cache)
+    if cache_dir:  # before any solve: a path that cannot be a directory is refused
+        os.makedirs(cache_dir, exist_ok=True)
+    return _scan_rows(spec, spec.lambda_grid, cache_dir)
 
 
 def make_evaluator(spec: ScanSpec, column: str = "b_param"):

@@ -187,6 +187,19 @@ class TestDeltaColumn:
             with pytest.raises(ValueError, match="sigma_delta must be nonnegative and finite"):
                 solve()
 
+    @pytest.mark.parametrize("t", [0.0, 0.5])
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize("order", [0, -3, 10])
+    def test_every_mixture_rejects_bad_order(self, order, sigma, t):
+        # sigma_delta = 0 returns without a tilt panel, and T > 0 builds its
+        # own rule: both must refuse the order first
+        for solve in (
+            lambda: delta_mixture(10, 0.5, sigma, order=order),
+            lambda: delta_thermal_mixture(10, 0.5, sigma, t, order=order),
+        ):
+            with pytest.raises(ValueError, match="quadrature order must be a positive odd"):
+                solve()
+
 
 class TestDeltaThermalMixture:
     def test_reduces_to_thermal(self):

@@ -31,7 +31,7 @@ from bellfringe import (
     split_gaussian_rule,
     visibility,
 )
-from bellfringe import cli, josephson, noise
+from bellfringe import cli, josephson, noise, scan
 from bellfringe.cli import main as cli_main
 from bellfringe.scan import (
     CROSSING_TOL,
@@ -41,7 +41,6 @@ from bellfringe.scan import (
     MC_DEFAULTS,
     MODE_AXIS,
     MODES,
-    SpectrumCache,
     _ground_moments,
     make_evaluator,
     rows_to_csv,
@@ -413,19 +412,26 @@ class TestRunScan:
             run_scan(thermal_spec(40, lams, temps), cache_dir=cache)
         assert stored() == before
 
-    def test_spectrum_cache(self, tmp_path):
-        spec = ScanSpec(
-            n_particles=40,
-            lambda_grid=(-0.5, 0.5),
-            mode="thermal",
-            noise_axis="temperature",
-            noise_grid=(0.5,),
-        )
+    def test_spectrum_cache(self, tmp_path, monkeypatch):
+        solved, low_spectrum = [], scan.low_spectrum
+
+        def counted(params, temperature):
+            solved.append(params)
+            return low_spectrum(params, temperature)
+
+        monkeypatch.setattr(scan, "low_spectrum", counted)
+        spec = thermal_spec(40, (-0.5, 0.5), (0.5,))
         cold = run_scan(spec, cache_dir=str(tmp_path))
-        files = list(tmp_path.glob("*.npz"))
-        assert len(files) == 2
+        assert len(list(tmp_path.glob("*.npz"))) == 2
+        assert len(solved) == 2  # one table per lambda column
         warm = run_scan(spec, cache_dir=str(tmp_path))
         assert cold == warm
+        assert len(solved) == 2  # a warm rerun solves nothing
+        # a ground scan makes its cache directory and stores no table in it
+        ground_dir = tmp_path / "ground"
+        run_scan(ground_spec((-0.5, 0.5), n=40), cache_dir=str(ground_dir))
+        assert ground_dir.is_dir() and list(ground_dir.glob("*.npz")) == []
+        assert len(solved) == 2
 
 
 def ground_moments(n, lam):
@@ -786,6 +792,26 @@ class TestCli:
         lines = (tmp_path / "out" / "boundary.csv").read_text().strip().split("\n")
         assert lines[0] == "lambda,noise_value"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("mode", ["ground_state", "thermal"])
+    @pytest.mark.parametrize("command", ["scan", "boundary"])
+    def test_cache_that_cannot_be_a_directory_is_config_error(
+        self, tmp_path, capsys, command, mode
+    ):
+        config = {"n_particles": 40, "lambda_grid": [-0.5, 0.5]}
+        if mode == "thermal":
+            config.update(mode="thermal", noise_axis="temperature", noise_grid=[0.0, 1.0])
+        cfg = self.write_config(tmp_path, config)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file")
+        # the file itself, and a path under it
+        for cache in (blocker, blocker / "cache"):
+            out = tmp_path / "out"
+            argv = [command, "--config", cfg, "--out", str(out), "--cache", str(cache)]
+            assert cli_main(argv) == 1
+            assert "configuration error" in capsys.readouterr().err
+            assert not out.exists()
+        assert blocker.read_text() == "a file"
 
     def test_mc_verify_command(self, capsys):
         rc = cli_main(

@@ -56,6 +56,10 @@ THERMAL_TINY = {
 }
 # good thermal columns, then one whose Hamiltonian overflows
 THERMAL_OVERFLOW = {**THERMAL_TINY, "lambda_grid": [-1.3, 0.5, 1e306], "noise_grid": [0.0, 1.0]}
+# the thermal_boundary workload's op: a coarse then a refined boundary on
+# one cache, both with T_max = 3, so the refined run reads the coarse tables
+THERMAL_BOUNDARY_COARSE = {**THERMAL_README, "noise_grid": {"start": 0.0, "stop": 3.0, "num": 7}}
+THERMAL_BOUNDARY_REFINED = {**THERMAL_README, "noise_grid": {"start": 0.0, "stop": 3.0, "num": 25}}
 BLURRED = {
     "n_particles": 1000,
     "lambda_grid": [-0.9, 0.5, 8.0],
@@ -70,6 +74,9 @@ DELTA = {
     "noise_axis": "sigma_delta",
     "noise_grid": [0.0, 0.02, 0.06],
 }
+# widths MIN_SHARED_SIGMA_RATIO splits into two tilt panels: 1e-5 is
+# narrower than 1e-3 of 0.05
+DELTA_TWO_PANELS = {**DELTA, "noise_grid": [0.0, 1e-5, 0.05]}
 # a point next to the transition, where the tilted ground states change
 # fastest around zero tilt
 DELTA_TRANSITION_POINT = {
@@ -160,6 +167,7 @@ CASES = (
     ("scan-delta-transition-point", ["scan"], DELTA_TRANSITION_POINT),
     ("scan-delta-transition", ["scan"], DELTA_TRANSITION),
     ("scan-delta-support", ["scan"], DELTA_SUPPORT),
+    ("scan-delta-two-panels", ["scan"], DELTA_TWO_PANELS),
     ("scan-negative-zero-lambda", ["scan"], NEGATIVE_ZERO_LAMBDA),
     ("scan-negative-zero-noise", ["scan"], NEGATIVE_ZERO_NOISE),
     ("scan-mc-typo", ["scan"], MC_TYPO),
@@ -171,6 +179,10 @@ CASES = (
     ("crossings-several-noise-values", ["crossings"], THERMAL_README),
     ("boundary-thermal-readme", ["boundary"], THERMAL_README),
     ("boundary-blurred", ["boundary"], BLURRED),
+    ("boundary-thermal-cache-coarse", ["boundary", "--cache", "cache-boundary"],
+     THERMAL_BOUNDARY_COARSE),
+    ("boundary-thermal-cache-refined", ["boundary", "--cache", "cache-boundary"],
+     THERMAL_BOUNDARY_REFINED),
     ("mc-verify-readme", ["mc-verify", "--nu", "0.9", "--xi2", "1.0", "--n-atoms",
                           "1000", "--n-shots", "10000", "--seed", "1"], None),
     ("mc-verify-negative-phi", ["mc-verify", "--phi", "-5.4e-05", "--n-atoms", "500",
