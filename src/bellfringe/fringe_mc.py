@@ -95,9 +95,12 @@ def _require_xi2(xi2) -> None:
 def _require_bench_ranges(params: FringeParams, xi2, n_shots) -> None:
     """The ranges the bench runs in, one check for ``verify_sensitivity`` and
     for every command's "mc" block: nu inside the fit-regime guard
-    (0.2, 0.98), n_shots an integer >= 1000 and xi2 finite and >= 0."""
+    (0.2, 0.98), phi in [-pi, pi] (far outside, the shot noise drowns in the
+    rounding of phi), n_shots an integer >= 1000 and xi2 finite and >= 0."""
     if not 0.2 < params.nu < 0.98:
         raise ValueError("nu outside the fit-regime guard (0.2, 0.98)")
+    if not -math.pi <= params.phi <= math.pi:
+        raise ValueError(f"phi must lie in [-pi, pi], got {params.phi!r}")
     if not _is_integer(n_shots) or n_shots < 1000:
         raise ValueError(f"n_shots must be an integer >= 1000, got {n_shots!r}")
     _require_xi2(xi2)

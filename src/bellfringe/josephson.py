@@ -15,16 +15,18 @@ from H alone seeds, grown until both end components are within SUPPORT_RTOL
 of the peak.  By interlacing the truncated level lies above the lowest of H;
 a Sturm count on the whole H must find no level RESIDUAL_TOL |H| below it
 (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998), else H is solved whole.
+
+The LAPACK entry points ``eigh_tridiagonal``, ``dstebz`` and ``dstein`` are
+module attributes bound at the first eigensolve, so an import loads no scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz, dstein
 
 from .spin_core import SpinState, StateEnsemble, _is_integer, _ladder
 
@@ -60,6 +62,24 @@ SIGN_TIE_RTOL = 1e-8
 SUPPORT_RTOL = 1e-17
 SUPPORT_PAD = 16
 SCALE_EXP = 500
+
+_LAPACK = ("eigh_tridiagonal", "dstebz", "dstein")
+
+
+@functools.cache  # once per process
+def _load_lapack() -> None:
+    """Bind the _LAPACK names from scipy; a name already bound (a patch) stays."""
+    from scipy.linalg import eigh_tridiagonal, lapack
+
+    for name, entry in zip(_LAPACK, (eigh_tridiagonal, lapack.dstebz, lapack.dstein)):
+        globals().setdefault(name, entry)
+
+
+def __getattr__(name: str):  # PEP 562: the _LAPACK names, read before the first solve
+    if name not in _LAPACK:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_lapack()
+    return globals()[name]
 
 
 class ConvergenceError(RuntimeError):
@@ -123,13 +143,14 @@ def build_hamiltonian(params: ModelParams) -> SymTridiag:
     return SymTridiag(diag, -c)  # -Jx
 
 
-def _check_eigenpairs(h: SymTridiag, energies, vectors, gram: bool = True):
-    """Residual and orthonormality guards, independent of the backend.
-
-    Column k is checked against its H (column k of a 2-D ``h.diag``, else
-    the one H) and that H's |H| bound.  Eigenvectors of one H must be
-    orthonormal (``gram``); ground states of different H need only unit norm.
-    """
+def _checked(h: SymTridiag, energies, vectors, unfolded, gram: bool = True):
+    """``(energies, vectors)`` after residual and orthonormality guards that
+    hold for any backend: column k against its H (column k of a 2-D
+    ``h.diag``, else the one H) and that H's |H| bound; eigenvectors of one H
+    orthonormal (``gram``), ground states of different H of unit norm.  Then
+    the columns at index ``unfolded`` are renormalized (the 1/sqrt(2) of
+    ``_unfold`` leaves their norm a few ulp off 1), and every column gets the
+    ``_fix_signs`` convention."""
     norm_h = np.maximum(h.norm_estimate, 1e-300)
     resid = h.matvec(vectors)
     resid -= vectors * energies
@@ -145,6 +166,8 @@ def _check_eigenpairs(h: SymTridiag, energies, vectors, gram: bool = True):
     ortho = np.abs(defect).max()
     if not ortho <= ORTHO_TOL:
         raise ConvergenceError(f"orthonormality defect {ortho:.3e}")
+    vectors[:, unfolded] /= np.sqrt((vectors[:, unfolded] ** 2).sum(axis=0))
+    return energies, _fix_signs(vectors)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -198,20 +221,11 @@ def _unfold(vectors: np.ndarray, parity: float, n_particles: int) -> np.ndarray:
     return out
 
 
-def _checked(h: SymTridiag, energies, vectors, unfolded, gram: bool = True):
-    """``(energies, vectors)`` after ``_check_eigenpairs`` against ``h``.  The
-    columns at index ``unfolded`` are then renormalized (the 1/sqrt(2) of
-    ``_unfold`` leaves their norm a few ulp off 1), and every column gets
-    the ``_fix_signs`` convention."""
-    _check_eigenpairs(h, energies, vectors, gram)
-    vectors[:, unfolded] /= np.sqrt((vectors[:, unfolded] ** 2).sum(axis=0))
-    return energies, _fix_signs(vectors)
-
-
 def _lowest_pair(diag: np.ndarray, offdiag: np.ndarray, vector: bool = True):
     """Lowest eigenpair ``(w, v)``, shapes (1,) and (n, 1), of a symmetric
     tridiagonal matrix, ``v`` None without ``vector``: eigh_tridiagonal's calls
     (stebz by index, il = iu = 1, tol 0, block order; stein) and bits."""
+    _load_lapack()
     if len(diag) == 1:
         return diag.copy(), np.ones((1, 1))
     m, w, iblock, isplit, info = dstebz(diag, offdiag, 2, 0.0, 1.0, 1, 1, 0.0, "B")
@@ -275,6 +289,7 @@ def _solve(h: SymTridiag, zero_tilt: bool, **select) -> tuple[np.ndarray, np.nda
     ascending energy (even first on ties); the unfolded vectors are checked
     against the full H before they are renormalized.
     """
+    _load_lapack()
     try:
         if not zero_tilt:
             return _checked(h, *eigh_tridiagonal(h.diag, h.offdiag, **select), slice(0))

@@ -343,6 +343,17 @@ class TestVerifySensitivity:
         with pytest.raises(ValueError, match="n_shots"):
             verify_sensitivity(make_params(nu=0.9), 1.0, n_shots, 0)
 
+    @pytest.mark.parametrize("phi", [4.0, -4.0, math.pi + 1e-15, 1e8, 1e17])
+    def test_rejects_phi_outside_pi(self, phi):
+        # at |phi| = 1e17 the ~0.1 rad shot noise is below one ulp of phi
+        with pytest.raises(ValueError, match="phi"):
+            verify_sensitivity(make_params(nu=0.9, phi=phi), 1.0, 1000, 0)
+
+    @pytest.mark.parametrize("phi", [math.pi, -math.pi])
+    def test_accepts_phi_at_pi(self, phi):
+        res = verify_sensitivity(make_params(nu=0.9, phi=phi, n_atoms=300), 1.0, 1000, 3)
+        assert 0 < res.empirical_variance < 1.0
+
 
 class TestMultinomialBench:
     @pytest.mark.parametrize(

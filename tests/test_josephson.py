@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -619,3 +622,69 @@ class TestThermalEnsemble:
         want = np.exp(-(spec.energies - spec.energies[0]) / t)
         want /= want.sum()
         assert np.allclose(ens.weights, want[: len(ens.weights)], atol=1e-12)
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on this checkout."""
+    src = os.path.dirname(os.path.dirname(josephson.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.strip()
+
+
+class TestLazyLapack:
+    """The LAPACK entry points are bound at the first solve, and stay plain
+    module attributes: readable, patchable and restorable before it."""
+
+    def test_names_resolve_to_scipy_and_restore(self):
+        code = """
+import sys
+from bellfringe import josephson as j
+names = ("eigh_tridiagonal", "dstebz", "dstein")
+print(hasattr(j, "no_such_name"), "scipy.linalg" in sys.modules)
+try:
+    getattr(j, "no_such_name")
+except AttributeError as exc:
+    print(type(exc).__name__)
+original = getattr(j, "eigh_tridiagonal")  # the tracer's set-and-restore
+setattr(j, "eigh_tridiagonal", print)
+setattr(j, "eigh_tridiagonal", original)
+import scipy.linalg, scipy.linalg.lapack as lapack
+print([getattr(j, n) is o for n, o in zip(names, (scipy.linalg.eigh_tridiagonal,
+                                                  lapack.dstebz, lapack.dstein))])
+"""
+        assert run_fresh(code).splitlines() == [
+            "False False", "AttributeError", "[True, True, True]"
+        ]
+
+    @pytest.mark.parametrize("solve", [
+        "full_spectrum(ModelParams(6, 0.5, 0.1))",
+        "full_spectrum(ModelParams(6, 0.5, 0.0))",
+        "ground_state(ModelParams(6, 0.5, 0.1))",
+        "josephson.low_spectrum(ModelParams(6, 0.5, 0.0), 1.0)",
+    ])
+    def test_every_entry_point_binds_the_names(self, solve):
+        code = f"""
+import sys
+from bellfringe import ModelParams, full_spectrum, ground_state, josephson
+print("scipy.linalg" in sys.modules, end=" ")
+{solve}
+print("scipy.linalg" in sys.modules)
+"""
+        assert run_fresh(code) == "False True"
+
+    def test_patch_before_the_first_solve_survives_it(self):
+        code = """
+import scipy.linalg
+from bellfringe import ModelParams, full_spectrum, josephson as j
+sizes = []
+def spy(diag, *args, **kwargs):
+    sizes.append(len(diag))
+    return scipy.linalg.eigh_tridiagonal(diag, *args, **kwargs)
+j.eigh_tridiagonal = spy  # before the first solve binds the names
+full_spectrum(ModelParams(6, 0.5, 0.1))
+full_spectrum(ModelParams(6, 0.5, 0.0))
+print(sizes, j.eigh_tridiagonal is spy)
+"""
+        assert run_fresh(code) == "[7, 4, 3] True"

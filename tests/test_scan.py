@@ -941,6 +941,57 @@ class TestCli:
                               text=True, check=True)
         assert done.stdout.strip() == "False"
 
+    def test_cli_starts_without_scipy_linalg(self, tmp_path):
+        # scipy.linalg costs every CLI start ~0.3 s, and only an eigensolve
+        # needs it: mc-verify, analytics, --help and config errors never load it
+        bad, ground = tmp_path / "bad.json", tmp_path / "ground.json"
+        bad.write_text(json.dumps({"n_particles": 20}))  # no lambda_grid
+        ground.write_text(json.dumps({"n_particles": 20, "lambda_grid": [0.5]}))
+        out = str(tmp_path / "out")
+        code = f"""
+import contextlib, io, sys
+seen = []
+import bellfringe
+seen.append('scipy.linalg' in sys.modules)
+import bellfringe.cli
+seen.append('scipy.linalg' in sys.modules)
+from bellfringe.cli import main
+runs = [
+    ["--help"],
+    ["scan", "--config", {str(bad)!r}, "--out", {out!r}],
+    ["analytics", "--lam", "0.5"],
+    ["mc-verify", "--n-atoms", "200", "--n-shots", "1000"],
+    ["scan", "--config", {str(ground)!r}, "--out", {out!r}],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    seen.append((rc, 'scipy.linalg' in sys.modules))
+print(seen)
+"""
+        src = os.path.dirname(os.path.dirname(bellfringe.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        # the ground scan's solve loads it, so the probe does see the import
+        assert done.stdout.strip() == str(
+            [False, False, (0, False), (1, False), (0, False), (0, False), (0, True)]
+        )
+
+    @pytest.mark.parametrize("phi, code", [(4.0, 1), (1e17, 1), (math.pi, 0), (-math.pi, 0)])
+    def test_mc_phi_outside_pi_is_config_error(self, tmp_path, capsys, phi, code):
+        # at --phi 1e17 the shot noise is below one ulp of phi: ratio 0, exit 0
+        argv = ["mc-verify", "--phi", repr(phi), "--n-atoms", "100", "--n-shots", "1000"]
+        assert cli_main(argv) == code
+        mc = {"phi": phi, "n_atoms": 200, "n_shots": 1000}
+        cfg = self.write_config(tmp_path, {"n_particles": 20, "lambda_grid": [0.5], "mc": mc})
+        assert cli_main(["scan", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.count("configuration error: phi must lie in [-pi, pi]") == 2 * code
+
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
     def test_analytics_refuses_a_non_finite_lambda(self, capsys, lam):
         assert cli_main(["analytics", "--lam", lam]) == 1
