@@ -4,19 +4,19 @@ Each simulated shot draws a fringe phase (the quantum shot-to-shot
 fluctuation, normal with variance xi^2/N) and the histogram of N atoms
 from the one-body density 1 + nu cos(kx + phase), then fits the phase back
 by least squares, which over whole fringe periods is a closed-form Fourier
-projection of the histogram (``fit_counts``, the one fit).  Given the shot
-phase the N positions are i.i.d., so the histogram is exactly one
-multinomial draw over the fit's bins, and no position is sampled.  The sample
-variance of the fitted phase over many shots is compared against the
-closed-form sensitivity prediction, and can be set against the
-least-squares and Cramer-Rao reference variances (Pezze et al., Rev. Mod.
-Phys. 90, 035005 (2018)).
+projection of the histogram (``fit_counts``, the one fit).  The projection
+reads only the histogram folded onto one period, and given the shot phase
+the N positions are i.i.d., so that fold is exactly one multinomial draw
+over one period's bins; no position is sampled.  The sample variance of the
+fitted phase is compared against the closed-form sensitivity prediction and
+the least-squares and Cramer-Rao reference variances (Pezze et al., Rev.
+Mod. Phys. 90, 035005 (2018)).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,26 +186,25 @@ def verify_sensitivity(
     """Run the full bench and compare the empirical phase variance with the
     closed-form prediction (xi^2 + sqrt(1-nu^2)/nu^2) / N.
 
-    One generator seeded with ``rng_seed`` draws all ``n_shots`` shot phases
-    first, then the multinomial bin counts of the shots in order,
-    ``SHOT_CHUNK`` shots per call; each chunk is fitted by one projection.
-    The stream is consumed in shot order, so the result depends on the seed
-    and not on the chunk size.
+    The fit's columns repeat every period, so it reads only the counts folded
+    onto one period's bins, which are one Multinomial(N, n_periods p) draw:
+    shots are drawn and fitted on those bins, and no bit depends on n_periods.
+    One generator seeded with ``rng_seed`` draws all shot phases, then the
+    counts in shot order, ``SHOT_CHUNK`` shots per call: chunks move nothing.
     """
     _require_bench_ranges(params, xi2, n_shots)
     rng = np.random.default_rng(rng_seed)
     phases = draw_shot_phase(params.phi, xi2, params.n_atoms, rng, size=n_shots)
-    waves = _bin_layout(params)
+    period = replace(params, n_periods=1)
+    waves = _bin_layout(period)
     fitted = [
-        fit_counts(sample_counts(params, chunk, waves, rng), params.n_atoms, waves)
+        fit_counts(sample_counts(period, chunk, waves, rng), params.n_atoms, waves)
         for chunk in np.split(phases, range(SHOT_CHUNK, n_shots, SHOT_CHUNK))
     ]
     dev = wrap_phase(np.concatenate(fitted) - params.phi)
-    empirical = float(np.var(dev, ddof=1))
-    predicted = sensitivity(xi2, params.nu, params.n_atoms)
     return SensitivityResult(
-        empirical_variance=empirical,
-        predicted_variance=predicted,
+        empirical_variance=float(np.var(dev, ddof=1)),
+        predicted_variance=sensitivity(xi2, params.nu, params.n_atoms),
         mean_deviation=float(dev.mean()),
         std_error=float(dev.std(ddof=1) / math.sqrt(len(dev))),
         n_shots=n_shots,

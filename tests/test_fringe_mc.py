@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -423,3 +424,55 @@ class TestMultinomialBench:
         counts = np.histogram(sample_positions(p, 0.9, 14), bins=edges)[0]
         expected = np.full(len(counts), p.n_atoms / len(counts))
         assert stats.chisquare(counts, expected).pvalue > 1e-3
+
+
+def fold(counts, n_periods):
+    """Counts of the window's n_periods * B bins summed onto one period's B."""
+    counts = np.asarray(counts)
+    return counts.reshape(*counts.shape[:-1], n_periods, -1).sum(axis=-2)
+
+
+class TestOnePeriodFold:
+    """The bench samples and fits each shot on one period's bins: the fit of
+    a window's histogram equals the fit of its fold, and the fold follows
+    ``bin_probabilities`` on the one-period layout."""
+
+    @pytest.mark.parametrize(
+        "n_atoms, n_periods, k, nu",
+        [(1000, 8, 1.0, 0.9), (500, 3, 2.7, 0.3), (2000, 1, 0.4, 0.95), (137, 8, 5.0, 0.6),
+         (3000, 3, 0.2, 0.75)],
+    )
+    def test_fit_of_histogram_equals_fit_of_fold(self, n_atoms, n_periods, k, nu):
+        p = make_params(nu=nu, k=k, n_atoms=n_atoms, n_periods=n_periods)
+        waves = fringe_mc._bin_layout(p)
+        period_waves = fringe_mc._bin_layout(replace(p, n_periods=1))
+        rng = np.random.default_rng(n_atoms + n_periods)
+        phases = rng.uniform(-math.pi, math.pi, 200)
+        counts = fringe_mc.sample_counts(p, phases, waves, rng)
+        full = fringe_mc.fit_counts(counts, n_atoms, waves)
+        folded = fringe_mc.fit_counts(fold(counts, n_periods), n_atoms, period_waves)
+        assert np.max(np.abs(wrap_phase(full - folded))) < 1e-12
+
+    @pytest.mark.parametrize("n_atoms, k, nu", [(1000, 1.0, 0.9), (300, 2.7, 0.5)])
+    def test_result_does_not_depend_on_n_periods(self, n_atoms, k, nu):
+        results = [
+            verify_sensitivity(
+                make_params(nu=nu, k=k, n_atoms=n_atoms, n_periods=n_periods), 0.6, 1000, 41
+            )
+            for n_periods in (1, 3, 8)
+        ]
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("n_periods", [1, 3, 8])
+    def test_folded_positions_pass_pearson_chi2(self, n_periods):
+        # one large shot of oracle positions binned on the window's bins and
+        # folded follows n_atoms * bin_probabilities on one period's bins,
+        # and a phase 0.2 off is rejected
+        p = make_params(nu=0.8, n_atoms=200000, n_periods=n_periods)
+        edges, _ = fit_bins(p)
+        counts = fold(np.histogram(sample_positions(p, 0.9, 13), bins=edges)[0], n_periods)
+        period = replace(p, n_periods=1)
+        period_waves = fringe_mc._bin_layout(period)
+        for phase, accepted in ((0.9, True), (1.1, False)):
+            expected = p.n_atoms * fringe_mc.bin_probabilities(period, phase, period_waves)
+            assert (stats.chisquare(counts, expected).pvalue > 1e-3) == accepted

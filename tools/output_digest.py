@@ -140,6 +140,9 @@ MC_TYPO = {"n_particles": 20, "lambda_grid": [0.5], "mc": {"n_shot": 1000}}
 MC_BAD_VALUE = {"n_particles": 20, "lambda_grid": [0.5], "mc": {"nu": "abc", "n_shots": 10}}
 MC_OUT_OF_RANGE = {"n_particles": 20, "lambda_grid": [0.5], "mc": {"n_shots": 10}}
 MC_BLOCK = {"mc": {"nu": 0.9, "n_atoms": 500, "n_shots": 1000}}
+# MC_BLOCK at 3 fringe periods instead of the default 8: each shot is drawn
+# and fitted on one period's bins, so its stdout is that of the 8-period run
+MC_THREE_PERIODS = {"mc": {**MC_BLOCK["mc"], "n_periods": 3}}
 MC_FULL = {
     "mc": {"nu": 0.7, "xi2": 0.5, "phi": 0.3, "k": 2.0, "n_atoms": 300,
            "n_periods": 4, "seed": 5, "n_shots": 1000}
@@ -189,6 +192,8 @@ CASES = (
                                 "--n-shots", "1000"], None),
     ("mc-verify-config", ["mc-verify"], MC_FULL),
     ("mc-verify-flag-over-config", ["mc-verify", "--nu", "0.5", "--seed", "3"], MC_BLOCK),
+    ("mc-verify-three-periods", ["mc-verify", "--nu", "0.5", "--seed", "3"],
+     MC_THREE_PERIODS),
     ("analytics", ["analytics", "--lam", "-1.3", "--lam", "-0.9", "--lam", "0.0",
                    "--lam", "8.0"], None),
     ("analytics-non-finite", ["analytics", "--lam", "nan", "--lam", "inf"], None),

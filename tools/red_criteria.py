@@ -19,7 +19,9 @@ prediction (xi^2 + sqrt(1-nu^2)/nu^2) / N.  The script prints, at the
 criterion's three points and seed, the empirical variance over the
 prediction, over the large-N least-squares variance and over the
 Cramer-Rao bound.  The prediction lies below the bound, which no unbiased
-estimator beats, so the first ratio cannot reach the band.
+estimator beats, so the first ratio cannot reach the band.  The last column
+is the criterion's bias check: the mean deviation of the fitted phase over
+its standard error, which the criterion bounds by 3 in magnitude.
 """
 
 from __future__ import annotations
@@ -59,7 +61,10 @@ def criterion_3(bf) -> None:
 
 def criterion_9(bf, mc) -> None:
     print("criterion 9: empirical phase variance over the reference variances")
-    print(f"{'xi2':>5}{'nu':>6}{'/predicted':>12}{'/least-sq':>11}{'/cramer-rao':>13}")
+    print(
+        f"{'xi2':>5}{'nu':>6}{'/predicted':>12}{'/least-sq':>11}{'/cramer-rao':>13}"
+        f"{'bias z':>9}"
+    )
     n = CRITERION_9_N_ATOMS
     for xi2, nu in CRITERION_9_POINTS:
         params = bf.FringeParams(nu=nu, phi=0.2, k=1.0, n_atoms=n, n_periods=8)
@@ -69,6 +74,7 @@ def criterion_9(bf, mc) -> None:
             f"{xi2:>5}{nu:>6}{emp / res.predicted_variance:>12.3f}"
             f"{emp / mc.least_squares_variance(xi2, nu, n):>11.3f}"
             f"{emp / mc.cramer_rao_variance(xi2, nu, n):>13.3f}"
+            f"{res.mean_deviation / res.std_error:>+9.2f}"
         )
 
 
