@@ -117,12 +117,6 @@ def _bin_layout(params: FringeParams) -> np.ndarray:
     return np.stack([np.cos(kx), np.sin(kx)])
 
 
-def _modulation(waves: np.ndarray, phase) -> np.ndarray:
-    """cos(kx_c + phase) at the bin centres, one row per phase."""
-    phase = np.asarray(phase)[..., None]
-    return np.cos(phase) * waves[0] - np.sin(phase) * waves[1]
-
-
 def _project(counts, n_atoms: int, waves: np.ndarray) -> np.ndarray:
     """Fourier components (c, s) = (2/M) (h - 1) . waves of the mean-1
     histogram(s) h of ``counts`` (bins on the last axis).
@@ -155,7 +149,8 @@ def bin_probabilities(params: FringeParams, shot_phases, waves: np.ndarray):
     n_bins = waves.shape[1]
     half = math.pi * params.n_periods / n_bins  # k dx / 2
     smeared = params.nu * math.sin(half) / half
-    return (1.0 + smeared * _modulation(waves, shot_phases)) / n_bins
+    phase = np.asarray(shot_phases)[..., None]  # cos(kx_c + phase): one row per phase
+    return (1.0 + smeared * (np.cos(phase) * waves[0] - np.sin(phase) * waves[1])) / n_bins
 
 
 def sample_counts(params: FringeParams, shot_phases, waves: np.ndarray, rng):

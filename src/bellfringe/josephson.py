@@ -5,9 +5,9 @@ its diagonal holds the interaction and tilt terms and its off-diagonal the
 (negated) Jx ladder elements.  Energies are in units of the Josephson
 tunneling energy E_J, temperatures in units of E_J / k_B.
 
-Thermal averages need only the occupied bottom of the spectrum, which
-``low_spectrum`` diagonalizes, the one rule for the levels a temperature T
-occupies: the states within -ln(THERMAL_WEIGHT_CUTOFF) T of the ground state.
+Thermal averages need only the K levels a temperature T occupies, those
+within -ln(THERMAL_WEIGHT_CUTOFF) T of the ground state: ``low_spectrum``
+solves that window, the one rule for them, and keeps only its K columns.
 
 A ground state fills only some sqrt(N) rows about its mean-field well, so
 ``ground_states`` solves each H on its support: rows that a WKB estimate
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spin_core import SpinState, StateEnsemble, _is_integer, _ladder
+from .spin_core import MOMENT_BLOCK, SpinState, StateEnsemble, _is_integer, _ladder
 
 __all__ = [
     "ModelParams",
@@ -144,18 +144,20 @@ def build_hamiltonian(params: ModelParams) -> SymTridiag:
 
 
 def _checked(h: SymTridiag, energies, vectors, unfolded, gram: bool = True):
-    """``(energies, vectors)`` after residual and orthonormality guards that
-    hold for any backend: column k against its H (column k of a 2-D
-    ``h.diag``, else the one H) and that H's |H| bound; eigenvectors of one H
-    orthonormal (``gram``), ground states of different H of unit norm.  Then
-    the columns at index ``unfolded`` are renormalized (the 1/sqrt(2) of
-    ``_unfold`` leaves their norm a few ulp off 1), and every column gets the
-    ``_fix_signs`` convention."""
-    norm_h = np.maximum(h.norm_estimate, 1e-300)
-    resid = h.matvec(vectors)
-    resid -= vectors * energies
-    resid /= norm_h  # before squaring, which overflows beyond |H| ~ 1e154
-    worst = np.sqrt((resid * resid).sum(axis=0)).max()
+    """``(energies, vectors)`` after guards that hold for any backend: the
+    residual of column k against its H (column k of a 2-D ``h.diag``, else the
+    one H) over that H's |H|, by chunks of MOMENT_BLOCK columns; vectors of one
+    H orthonormal (``gram``), of different H of unit norm.  Then the columns at
+    ``unfolded`` are renormalized (``_unfold``'s 1/sqrt(2) leaves their norm a
+    few ulp off 1), and every column gets the ``_fix_signs`` convention."""
+    diag = np.broadcast_to(h.diag.reshape(len(h.diag), -1), vectors.shape)
+    norm_h = np.broadcast_to(np.maximum(h.norm_estimate, 1e-300), energies.shape)
+    worst = 0.0
+    for cols in (slice(lo, lo + MOMENT_BLOCK) for lo in range(0, len(energies), MOMENT_BLOCK)):
+        resid = SymTridiag(diag[:, cols], h.offdiag).matvec(vectors[:, cols])
+        resid -= vectors[:, cols] * energies[cols]
+        resid /= norm_h[cols]  # before squaring, which overflows beyond |H| ~ 1e154
+        worst = np.maximum(worst, np.sqrt((resid * resid).sum(axis=0)).max())  # NaN stays
     if not worst <= RESIDUAL_TOL:  # NaN fails too
         raise ConvergenceError(f"eigenpair residual {worst:.3e} |H| > {RESIDUAL_TOL} |H|")
     if gram:
@@ -285,22 +287,27 @@ def _ground_pair(diag: np.ndarray, offdiag: np.ndarray, norm: float):
 def _solve(h: SymTridiag, zero_tilt: bool, **select) -> tuple[np.ndarray, np.ndarray]:
     """Checked, sign-fixed eigenpairs of ``h`` in the ``select`` range.
 
-    At ``zero_tilt`` the two ``_fold`` blocks are solved alone and merged in
-    ascending energy (even first on ties); the unfolded vectors are checked
-    against the full H before they are renormalized.
+    At ``zero_tilt`` the two ``_fold`` blocks are solved alone and unfolded
+    into one ascending window, freeing them before it is checked against the
+    full H and its columns are renormalized.
     """
+    def window(diag, offdiag):  # a partial set is copied out of LAPACK's (n, n) array
+        w, v = eigh_tridiagonal(diag, offdiag, **select)
+        return w, (v.copy(order="F") if v.shape[1] < len(v) else v)
     _load_lapack()
     try:
         if not zero_tilt:
-            return _checked(h, *eigh_tridiagonal(h.diag, h.offdiag, **select), slice(0))
-        pairs = [eigh_tridiagonal(diag, offdiag, **select) for diag, offdiag in _fold(h)]
+            return _checked(h, *window(h.diag, h.offdiag), slice(0))
+        (w_even, even), (w_odd, odd) = [window(*block) for block in _fold(h)]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise ConvergenceError(str(exc)) from exc
-    energies = np.concatenate([w for w, _ in pairs])
-    vectors = np.hstack([_unfold(v, p, len(h.diag) - 1) for (_, v), p in zip(pairs, (1.0, -1.0))])
-    order = np.argsort(energies, kind="stable")
-    energies, vectors = energies[order], vectors[:, order]  # frees the unsorted block
-    return _checked(h, energies, vectors, slice(None))
+    energies = np.concatenate((w_even, w_odd))
+    order = np.argsort(energies, kind="stable")  # stable: a block keeps its column order
+    vectors = np.empty((len(h.diag), len(order)), order="F")  # column sums round by layout
+    vectors[:, order < len(w_even)] = _unfold(even, 1.0, len(h.diag) - 1)
+    vectors[:, order >= len(w_even)] = _unfold(odd, -1.0, len(h.diag) - 1)
+    del even, odd  # the checks need only the window
+    return _checked(h, energies[order], vectors, slice(None))
 
 
 def ground_states(n_particles: int, lam, tilts) -> tuple[np.ndarray, np.ndarray]:
@@ -414,8 +421,7 @@ def thermal_ensemble(params: ModelParams, temperature: float) -> StateEnsemble:
     if not temperature >= 0:  # NaN fails too
         raise ValueError("temperature must be >= 0")
     if temperature == 0:
-        _, gs = ground_state(params)
-        return StateEnsemble((gs,), np.array([1.0]))
+        return StateEnsemble((ground_state(params)[1],), np.array([1.0]))
     if math.isinf(temperature):
         n = params.n_particles + 1
         return StateEnsemble(tuple(map(SpinState, np.eye(n))), np.full(n, 1.0 / n))

@@ -213,10 +213,9 @@ def delta_thermal_mixture(
         return thermal_ensemble(ModelParams(n_particles, lam, 0.0), temperature)
     if temperature == 0:
         return delta_mixture(n_particles, lam, sigma_delta, order=order, check=False)
-    half = (order + 1) // 2
-    rule = split_gaussian_rule(half, sigma_delta)
+    nodes, (node_weights,) = _panel((order + 1) // 2, sigma_delta, [sigma_delta])
     states, weights = [], []
-    for delta, w in zip(rule.nodes[half:], rule.weights[half:]):
+    for delta, w in zip(nodes, node_weights):
         ens = thermal_ensemble(ModelParams(n_particles, lam, delta), temperature)
         # H(-delta) = P H(delta) P with P the m -> -m parity: the spectrum at
         # -delta is the same and its eigenstates are the reversed vectors

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-9
-# States per block in ensemble_moments: ~0.5 MB per temporary at N = 1000.
+# Columns per block (ensemble_moments, the residual guard): ~0.5 MB each at N = 1000.
 MOMENT_BLOCK = 64
 
 
@@ -119,11 +119,12 @@ def moment_table(vectors: np.ndarray) -> np.ndarray:
     j = n / 2.0
 
     table = np.zeros((6, psi.shape[1]))  # one row per Moments field; <Jy> = 0
-    table[0] = 2.0 * (c @ (psi[:-1] * psi[1:]))
     # <Jz> summed over +-m pairs, so a state of definite parity gives 0 exactly
     half = len(m) // 2
     table[2] = m[-half:] @ (weight[-half:] - weight[:half][::-1])
     jz2 = m_squared @ weight
+    del weight  # before the two product temporaries
+    table[0] = 2.0 * (c @ (psi[:-1] * psi[1:]))
     # <J+^2> = <J-^2> = 4 sum_m c_m c_{m+1} psi_m psi_{m+2}
     two_step = c_pairs @ (psi[:-2] * psi[2:])
     iso = 0.5 * (j * (j + 1) - jz2)
@@ -136,8 +137,7 @@ def moment_table(vectors: np.ndarray) -> np.ndarray:
 def compute_moments(state: SpinState) -> Moments:
     """Spin moments of a normalized real-coefficient state (one-column
     ``moment_table``)."""
-    column = np.asarray(state.coeffs)[:, None]
-    return Moments(*moment_table(column)[0].tolist())
+    return Moments(*moment_table(np.asarray(state.coeffs)[:, None])[0].tolist())
 
 
 def ensemble_moments(ensemble: StateEnsemble) -> Moments:

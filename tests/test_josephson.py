@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -19,6 +21,7 @@ from bellfringe import (
     compute_moments,
     delta_mixture,
     delta_mixture_moments,
+    delta_thermal_mixture,
     ensemble_moments,
     full_spectrum,
     ground_state,
@@ -622,6 +625,49 @@ class TestThermalEnsemble:
         want = np.exp(-(spec.energies - spec.energies[0]) / t)
         want /= want.sum()
         assert np.allclose(ens.weights, want[: len(ens.weights)], atol=1e-12)
+
+
+def traced(solve):
+    """``solve()``'s result, the peak of the memory it traced, and the traced
+    bytes still allocated once it returned."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = solve()
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, retained
+
+
+class TestWindowMemory:
+    """A window holds its K columns, not LAPACK's (n, n) array or copies of
+    the block."""
+
+    def test_zero_tilt_window_peak(self):
+        josephson.low_spectrum(ModelParams(20, -1.0), 3.5)  # scipy loaded first
+        params = ModelParams(2000, -1.0)
+        (_, vectors), peak, _ = traced(lambda: josephson.low_spectrum(params, 3.5))
+        # LAPACK's (n, n) array of one parity block at a time, plus three
+        # window-sized temporaries
+        assert vectors.shape[1] > 200
+        assert peak <= 8 * 1001 ** 2 + 3 * vectors.nbytes
+
+    def test_tilted_states_hold_only_their_window(self):
+        ens = thermal_ensemble(ModelParams(1000, 0.5, 0.05), 1.0)
+        k = len(ens.states)
+        assert 1 < k < 1001
+        for state in ens.states:
+            owner = state.coeffs if state.coeffs.base is None else state.coeffs.base
+            assert owner.size <= 1001 * k
+
+    def test_tilt_mixture_retains_only_its_states(self):
+        thermal_ensemble(ModelParams(1000, 0.5, 0.05), 1.0)  # caches filled first
+        ens, _, retained = traced(lambda: delta_thermal_mixture(1000, 0.5, 0.05, 1.0, order=11))
+        own = sum(state.coeffs.nbytes for state in ens.states)
+        assert len(ens.states) > 300
+        assert retained < 2 * own
 
 
 def run_fresh(code: str) -> str:

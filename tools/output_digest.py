@@ -60,6 +60,17 @@ THERMAL_OVERFLOW = {**THERMAL_TINY, "lambda_grid": [-1.3, 0.5, 1e306], "noise_gr
 # one cache, both with T_max = 3, so the refined run reads the coarse tables
 THERMAL_BOUNDARY_COARSE = {**THERMAL_README, "noise_grid": {"start": 0.0, "stop": 3.0, "num": 7}}
 THERMAL_BOUNDARY_REFINED = {**THERMAL_README, "noise_grid": {"start": 0.0, "stop": 3.0, "num": 25}}
+# the thermal_boundary workload's largest op: N = 2000, the widest window
+# (T_max = 3.5) on both sides of the transition and deep in the polar regime
+THERMAL_BOUNDARY_N2000_COARSE = {
+    **THERMAL_README,
+    "n_particles": 2000,
+    "lambda_grid": [-1.0, -0.9, 6.0],
+    "noise_grid": {"start": 0.0, "stop": 3.5, "num": 7},
+}
+THERMAL_BOUNDARY_N2000_REFINED = {
+    **THERMAL_BOUNDARY_N2000_COARSE, "noise_grid": {"start": 0.0, "stop": 3.5, "num": 25}
+}
 BLURRED = {
     "n_particles": 1000,
     "lambda_grid": [-0.9, 0.5, 8.0],
@@ -186,6 +197,10 @@ CASES = (
      THERMAL_BOUNDARY_COARSE),
     ("boundary-thermal-cache-refined", ["boundary", "--cache", "cache-boundary"],
      THERMAL_BOUNDARY_REFINED),
+    ("boundary-thermal-n2000-coarse", ["boundary", "--cache", "cache-n2000"],
+     THERMAL_BOUNDARY_N2000_COARSE),
+    ("boundary-thermal-n2000-refined", ["boundary", "--cache", "cache-n2000"],
+     THERMAL_BOUNDARY_N2000_REFINED),
     ("mc-verify-readme", ["mc-verify", "--nu", "0.9", "--xi2", "1.0", "--n-atoms",
                           "1000", "--n-shots", "10000", "--seed", "1"], None),
     ("mc-verify-negative-phi", ["mc-verify", "--phi", "-5.4e-05", "--n-atoms", "500",
