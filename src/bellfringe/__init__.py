@@ -42,7 +42,6 @@ from .noise import (  # noqa: F401
     QuadratureRule,
     blur_visibility,
     delta_mixture,
-    delta_mixture_moments,
     delta_thermal_mixture,
     split_gaussian_rule,
 )

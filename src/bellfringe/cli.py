@@ -1,8 +1,7 @@
 """Command-line driver: scans, crossings, boundaries, MC verification.
 
 Exit status: 0 on success, 1 on configuration errors, 2 on computation
-errors.  ``--threads`` (or BELLFRINGE_THREADS) is passed on to ``run_scan``,
-which refuses a count below 1 and runs serially.
+errors.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 
@@ -57,15 +55,10 @@ def _load_spec(path: str, no_rotation: bool, seed) -> ScanSpec:
     return ScanSpec.from_dict(data)
 
 
-def _thread_count(args) -> int:
-    return int(os.environ.get("BELLFRINGE_THREADS", args.threads))
-
-
 def _add_common(parser):
     parser.add_argument("--config", required=True, help="JSON scan specification")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override spec seed")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--cache", default=None, help="spectrum cache directory")
     parser.add_argument(
         "--no-rotation",
@@ -76,7 +69,7 @@ def _add_common(parser):
 
 def cmd_scan(args) -> int:
     spec = _load_spec(args.config, args.no_rotation, args.seed)
-    rows = run_scan(spec, threads=_thread_count(args), cache_dir=args.cache)
+    rows = run_scan(spec, cache_dir=args.cache)
     paths = emit_outputs(rows, spec, args.out)
     for path in paths:
         print(path)
@@ -86,7 +79,7 @@ def cmd_scan(args) -> int:
 def cmd_crossings(args) -> int:
     spec = _load_spec(args.config, args.no_rotation, args.seed)
     evaluate = make_evaluator(spec, column=args.column)  # refuses before the scan
-    rows = run_scan(spec, threads=_thread_count(args), cache_dir=args.cache)
+    rows = run_scan(spec, cache_dir=args.cache)
     crossings = find_zero_crossings(rows, args.column, evaluate)
     payload = {"column": args.column, "crossings": crossings}
     print(_write_output(args.out, "crossings.json", payload))
@@ -97,7 +90,7 @@ def cmd_crossings(args) -> int:
 
 def cmd_boundary(args) -> int:
     spec = _load_spec(args.config, args.no_rotation, args.seed)
-    rows = run_scan(spec, threads=_thread_count(args), cache_dir=args.cache)
+    rows = run_scan(spec, cache_dir=args.cache)
     boundary = extract_region_boundary(rows)
     text = "".join(f"{lam:.17g},{noise:.17g}\n" for lam, noise in boundary)
     print(_write_output(args.out, "boundary.csv", "lambda,noise_value\n" + text))

@@ -34,7 +34,6 @@ __all__ = [
     "QuadratureRule",
     "split_gaussian_rule",
     "delta_mixture",
-    "delta_mixture_moments",
     "delta_column_moments",
     "delta_thermal_mixture",
     "blur_visibility",
@@ -164,13 +163,6 @@ def delta_column_moments(n_particles: int, lam: float, sigmas) -> list:
     return [found[s] for s in sigmas]
 
 
-def delta_mixture_moments(n_particles: int, lam: float, sigma_delta: float) -> Moments:
-    """Moments of ``delta_mixture`` at its default order, with the node-doubling
-    check: the one-sigma ``delta_column_moments``, reduced level by level
-    without building the mixture's states."""
-    return _settled(delta_column_moments(n_particles, lam, [sigma_delta])[0])
-
-
 def delta_mixture(
     n_particles: int,
     lam: float,
@@ -206,20 +198,18 @@ def delta_thermal_mixture(
     order: int = DEFAULT_QUAD_ORDER,
 ) -> StateEnsemble:
     """Composition of tilt fluctuations with a thermal state: a Boltzmann
-    ensemble at every quadrature node.  This combined channel is an
-    extension beyond the single-axis noise scans."""
+    ensemble at every quadrature node, at T = 0 the nodes' ground states.
+    An extension beyond the single-axis noise scans."""
     _check_mixture(sigma_delta, order)
     if sigma_delta == 0:
         return thermal_ensemble(ModelParams(n_particles, lam, 0.0), temperature)
-    if temperature == 0:
-        return delta_mixture(n_particles, lam, sigma_delta, order=order, check=False)
     nodes, (node_weights,) = _panel((order + 1) // 2, sigma_delta, [sigma_delta])
     states, weights = [], []
     for delta, w in zip(nodes, node_weights):
         ens = thermal_ensemble(ModelParams(n_particles, lam, delta), temperature)
         # H(-delta) = P H(delta) P with P the m -> -m parity: the spectrum at
         # -delta is the same and its eigenstates are the reversed vectors
-        mirrored = (SpinState(st.coeffs[::-1].copy()) for st in ens.states)
+        mirrored = (SpinState(st.coeffs[::-1]) for st in ens.states)
         states += [*ens.states, *mirrored]
         weights += [w * ens.weights] * 2
     return StateEnsemble(tuple(states), np.concatenate(weights))

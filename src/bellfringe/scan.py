@@ -313,8 +313,8 @@ def _scan_rows(spec: ScanSpec, lams, cache_dir=None) -> list:
 def run_scan(spec: ScanSpec, threads: int = 1, cache_dir: str = None) -> list:
     """Evaluate the scan grid in grid order (lambda outer, noise inner).
 
-    The grid runs serially at any ``threads`` >= 1: the LAPACK wrappers
-    hold the interpreter lock, so a thread pool measured no faster.
+    The grid runs serially (the LAPACK wrappers hold the GIL, so a thread pool
+    measured no faster); ``threads`` >= 1 is checked and kept for API callers.
     """
     if threads < 1:
         raise ValueError(f"the thread count must be >= 1, got {threads}")

@@ -58,7 +58,7 @@ class StateEnsemble:
         w = np.asarray(self.weights, dtype=float)
         if np.any(w < 0):
             raise ValueError("negative ensemble weight")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("ensemble weights must sum to 1")
 
 
@@ -111,7 +111,7 @@ def moment_table(vectors: np.ndarray) -> np.ndarray:
     weight = psi * psi
     norm2 = weight.sum(axis=0)
     off = np.abs(norm2 - 1.0)
-    if off.max() > NORM_TOL:
+    if not off.max() <= NORM_TOL:  # NaN fails too
         worst = float(norm2[off.argmax()])
         raise ValueError(f"state not normalized: |psi|^2 = {worst!r}")
     n = len(psi) - 1

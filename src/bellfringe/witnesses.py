@@ -143,9 +143,9 @@ class WitnessReport:
 
     def __post_init__(self):
         _require_visibility(self.nu)
-        if abs(self.b_param - self.a_param - fringe_factor(self.nu)) > IDENTITY_TOL:
+        if not abs(self.b_param - self.a_param - fringe_factor(self.nu)) <= IDENTITY_TOL:
             raise ValueError("witness/sensitivity identity violated")
-        if abs(self.var_phi - (self.a_param + 1.0) / self.n_particles) > 1e-12:
+        if not abs(self.var_phi - (self.a_param + 1.0) / self.n_particles) <= 1e-12:
             raise ValueError("var_phi inconsistent with a_param")
 
 

@@ -9,7 +9,6 @@ from bellfringe import (
     blur_visibility,
     compute_moments,
     delta_mixture,
-    delta_mixture_moments,
     delta_thermal_mixture,
     ensemble_moments,
     ground_state,
@@ -100,7 +99,7 @@ class TestDeltaMixture:
     def test_moments_match_the_mixture(self, lam, sigma):
         # the closed-form mirror half against the states delta_mixture builds
         n = 50
-        got = delta_mixture_moments(n, lam, sigma)
+        (got,) = delta_column_moments(n, lam, [sigma])
         want = ensemble_moments(delta_mixture(n, lam, sigma))
         for name in ("jx", "jy", "jx2", "jy2", "jz2"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
@@ -133,9 +132,11 @@ class TestDeltaMixture:
 
 class TestDeltaColumn:
     def test_one_sigma_column_is_delta_mixture_moments(self):
+        # named for the retired one-sigma alias: a sigma next to the ground
+        # entry gets the moments of its one-sigma column
         n, lam = 60, -1.1
         ground, mixed = delta_column_moments(n, lam, [0.0, 0.04])
-        assert mixed == delta_mixture_moments(n, lam, 0.04)
+        assert [mixed] == delta_column_moments(n, lam, [0.04])
         assert ground == compute_moments(ground_state(ModelParams(n, lam, 0.0))[1])
 
     @pytest.mark.parametrize("lam", [-1.2, -1.03, 0.5, 8.0])
@@ -157,7 +158,7 @@ class TestDeltaColumn:
             return ground_pair(*args)
 
         monkeypatch.setattr(josephson, "_ground_pair", counting)
-        moments = delta_mixture_moments(1000, -1.03, 0.06)
+        (moments,) = delta_column_moments(1000, -1.03, [0.06])
         assert len(calls) == 81
         assert 0.0 < moments.jx < 500.0
 
@@ -165,8 +166,8 @@ class TestDeltaColumn:
         # a sigma_delta 1e-116 times the widest would get no node on its panel
         n, lam = 20, -1.2
         tiny, wide = delta_column_moments(n, lam, [1e-116, 0.25])
-        assert tiny == delta_mixture_moments(n, lam, 1e-116)
-        assert wide == delta_mixture_moments(n, lam, 0.25)
+        assert [tiny] == delta_column_moments(n, lam, [1e-116])
+        assert [wide] == delta_column_moments(n, lam, [0.25])
 
     def test_rejects_negative_and_nan_sigma(self):
         for sigmas in ([0.1, -0.1], [math.nan]):
@@ -179,7 +180,7 @@ class TestDeltaColumn:
         # reported as a non-finite Hamiltonian
         for solve in (
             lambda: delta_column_moments(10, 0.5, [0.1, sigma]),
-            lambda: delta_mixture_moments(10, 0.5, sigma),
+            lambda: delta_column_moments(10, 0.5, [sigma]),
             lambda: delta_mixture(10, 0.5, sigma),
             lambda: delta_thermal_mixture(10, 0.5, sigma, 0.0),
             lambda: delta_thermal_mixture(10, 0.5, sigma, 0.5, order=5),
@@ -210,10 +211,17 @@ class TestDeltaThermalMixture:
         assert combined.jy2 == pytest.approx(thermal.jy2, abs=1e-12)
 
     def test_reduces_to_delta_mixture(self):
+        # at T = 0 each node's Boltzmann ensemble is its ground state: the
+        # unchecked tilt mixture's states and weights, (node, mirror) in turn
         n = 30
-        combined = ensemble_moments(delta_thermal_mixture(n, -0.6, 0.04, 0.0))
-        pure = ensemble_moments(delta_mixture(n, -0.6, 0.04, check=False))
-        assert combined.jx == pytest.approx(pure.jx, abs=1e-12)
+        for lam, sigma, order in ((-1.2, 0.03, 21), (-0.6, 0.04, 41), (3.0, 0.1, 11)):
+            combined = delta_thermal_mixture(n, lam, sigma, 0.0, order)
+            pure = delta_mixture(n, lam, sigma, order, check=False)
+            assert len(combined.states) == len(pure.states) == order + 1
+            got, want = ensemble_moments(combined), ensemble_moments(pure)
+            for name in ("jx", "jy", "jx2", "jy2", "jz2"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+            assert abs(got.jz) < 1e-10 and abs(want.jz) < 1e-10
 
     @pytest.mark.parametrize("t", [0.0, 0.5])
     def test_rejects_negative_sigma(self, t):

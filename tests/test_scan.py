@@ -1104,26 +1104,24 @@ print(seen)
         assert calls == [argv, argv]
         assert cli.build_parser() is parser
 
-    def test_threads_env_override(self, tmp_path, monkeypatch):
-        cfg = self.write_config(
-            tmp_path, {"n_particles": 40, "lambda_grid": [-0.5, 0.5]}
-        )
-        monkeypatch.setenv("BELLFRINGE_THREADS", "2")
-        rc = cli_main(["scan", "--config", cfg, "--out", str(tmp_path / "t")])
-        assert rc == 0
-
-    @pytest.mark.parametrize("flag, env", [("0", None), ("1", "-3")])
-    def test_thread_count_below_one_is_config_error(self, tmp_path, monkeypatch,
-                                                   capsys, flag, env):
-        cfg = self.write_config(tmp_path, {"n_particles": 40, "lambda_grid": [0.5]})
-        monkeypatch.delenv("BELLFRINGE_THREADS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("BELLFRINGE_THREADS", env)
+    def test_thread_count_is_not_a_cli_setting(self, tmp_path, monkeypatch, capsys):
+        # the scan runs serially whatever the count, so the CLI takes none:
+        # argparse refuses the flag, and the environment is not read
+        cfg = self.write_config(tmp_path, {"n_particles": 40, "lambda_grid": [-0.5, 0.5]})
         for command in ("scan", "crossings", "boundary"):
             out = str(tmp_path / command)
-            assert cli_main([command, "--config", cfg, "--out", out, "--threads", flag]) == 1
-            assert "thread count must be >= 1" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as refused:
+                cli_main([command, "--config", cfg, "--out", out, "--threads", "2"])
+            assert refused.value.code == 2
+            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
             assert not os.path.exists(out)
+        monkeypatch.delenv("BELLFRINGE_THREADS", raising=False)
+        assert cli_main(["scan", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+        monkeypatch.setenv("BELLFRINGE_THREADS", "-3")
+        assert cli_main(["scan", "--config", cfg, "--out", str(tmp_path / "env")]) == 0
+        for name in ("scan.csv", "scan.json"):
+            env, plain = tmp_path / "env" / name, tmp_path / "plain" / name
+            assert env.read_bytes() == plain.read_bytes()
 
 
 NOISE_VALUES = {

@@ -65,6 +65,10 @@ class TestBuildBasis:
 
 
 class TestComputeMoments:
+    def test_rejects_nan_coefficient(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            compute_moments(SpinState(np.array([math.nan, 1.0, 0.0])))
+
     def test_coherent_state(self):
         n = 12
         m = compute_moments(coherent_x_state(n))
@@ -190,6 +194,10 @@ class TestEnsembleMoments:
         m = ensemble_moments(ens)
         assert m.jz == pytest.approx(0.0)
         assert m.jz2 == pytest.approx((n / 2) ** 2)
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            StateEnsemble((coherent_x_state(4),), np.array([math.nan]))
 
     def test_rejects_bad_weights(self):
         state = coherent_x_state(4)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -182,6 +183,15 @@ class TestWitnessReport:
                 interior_minimum=good.interior_minimum,
                 rotated=good.rotated,
             )
+
+    def test_nan_fails_the_identity_check(self):
+        with pytest.raises(ValueError, match="identity violated"):
+            build_report(math.nan, 0.9, 100)
+
+    def test_nan_fails_the_var_phi_check(self):
+        good = build_report(1.0, 0.9, 100)
+        with pytest.raises(ValueError, match="var_phi inconsistent"):
+            dataclasses.replace(good, var_phi=math.nan)
 
     def test_rejects_zero_visibility(self):
         with pytest.raises(VisibilityError):

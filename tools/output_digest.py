@@ -7,10 +7,11 @@ Usage::
 CHECKOUT defaults to the checkout holding this script; its ``src/`` is put
 first on the import path, so the digest describes that checkout's sources.
 Each case runs ``bellfringe.cli.main`` in a fresh temporary directory and
-prints one line: the case name, the exit code, the sha256 of stdout and the
-sha256 of every file the case wrote, by relative path.  Diffing the output
-of two checkouts shows every case whose bytes differ.  Only the standard
-library and the checkout's own package are used.
+prints one line: the case name, the exit code (argparse's own for a refused
+flag), the sha256 of stdout and the sha256 of every file the case wrote, by
+relative path.  Diffing the output of two checkouts shows every case whose
+bytes differ.  Only the standard library and the checkout's own package are
+used.
 """
 
 from __future__ import annotations
@@ -164,6 +165,8 @@ CASES = (
     ("scan-ground-readme", ["scan"], GROUND_README),
     ("scan-ground-n3", ["scan"], GROUND_N3),
     ("scan-ground-n3-no-rotation", ["scan", "--no-rotation", "--seed", "7"], GROUND_N3),
+    # the CLI takes no thread count: argparse refuses the flag with exit 2
+    ("scan-threads-flag", ["scan", "--threads", "2"], GROUND_N3),
     ("scan-ground-blocks-odd-n", ["scan"], GROUND_BLOCKS_ODD),
     ("scan-ground-n4000", ["scan"], GROUND_N4000),
     ("scan-ground-huge-lambda", ["scan"], GROUND_HUGE),
@@ -242,7 +245,10 @@ def run_case(cli_main, name: str, argv: list, config) -> str:
     stdout = io.StringIO()
     # stderr carries messages and warnings, not outputs: it is left out
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main(argv)
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # an argparse refusal: its exit code is the result
+            code = exc.code
     files = _written(name) if os.path.isdir(name) else []
     parts = [name, f"exit={code}", f"stdout={_sha256(stdout.getvalue().encode())}"]
     parts += [f"{path}={digest}" for path, digest in files]
