@@ -6,8 +6,8 @@ its diagonal holds the interaction and tilt terms and its off-diagonal the
 tunneling energy E_J, temperatures in units of E_J / k_B.
 
 Thermal averages need only the K levels a temperature T occupies, those
-within -ln(THERMAL_WEIGHT_CUTOFF) T of the ground state: ``low_spectrum``
-solves that window, the one rule for them, and keeps only its K columns.
+within -ln(THERMAL_WEIGHT_CUTOFF) T of ``ground_state``'s certified level:
+``low_spectrum`` solves that window, the one rule for them, and keeps K columns.
 
 A ground state fills only some sqrt(N) rows about its mean-field well, so
 ``ground_states`` solves each H on its support: rows that a WKB estimate
@@ -223,19 +223,19 @@ def _unfold(vectors: np.ndarray, parity: float, n_particles: int) -> np.ndarray:
     return out
 
 
-def _lowest_pair(diag: np.ndarray, offdiag: np.ndarray, vector: bool = True):
+def _lowest_pair(diag: np.ndarray, offdiag: np.ndarray):
     """Lowest eigenpair ``(w, v)``, shapes (1,) and (n, 1), of a symmetric
-    tridiagonal matrix, ``v`` None without ``vector``: eigh_tridiagonal's calls
-    (stebz by index, il = iu = 1, tol 0, block order; stein) and bits."""
+    tridiagonal matrix, for ``_ground_pair``: eigh_tridiagonal's calls (stebz
+    by index, il = iu = 1, tol 0, block order; stein) and bits."""
     _load_lapack()
     if len(diag) == 1:
         return diag.copy(), np.ones((1, 1))
     m, w, iblock, isplit, info = dstebz(diag, offdiag, 2, 0.0, 1.0, 1, 1, 0.0, "B")
-    if info == 0 and vector:
+    if info == 0:
         v, info = dstein(diag, offdiag, w[:m], iblock, isplit)
     if info:  # pragma: no cover - backend failure
         raise ConvergenceError(f"stebz/stein did not converge (LAPACK info={info})")
-    return w[:m], (v if vector else None)
+    return w[:m], v
 
 
 def _support(diag: np.ndarray, offdiag: np.ndarray) -> tuple[int, int]:
@@ -380,23 +380,20 @@ def low_spectrum(params: ModelParams, temperature: float):
     Only the window is diagonalized (MRRR, LAPACK ``stemr``), so the residual
     and orthonormality checks cost O(N K^2) for K kept states instead of
     O(N^3); every kept vector follows the sign convention of ``_fix_signs``.
-    At zero tilt E0 comes from the even ``_fold`` block and the window is
+    E0 is ``ground_state``'s certified level, and at zero tilt the window is
     solved on each parity block.  Returns ``(energies, vectors)`` with the
     states as columns.
     """
     if not 0 <= temperature < math.inf:  # NaN fails too
         raise ValueError(f"low_spectrum needs a finite temperature >= 0, got {temperature}")
     window = -math.log(THERMAL_WEIGHT_CUTOFF) * temperature
+    e0 = ground_state(params)[0]  # refuses an overflowed H
     h = build_hamiltonian(params)
-    if not np.isfinite(h.diag).all():  # stebz has no check of its own
-        raise ValueError("array must not contain infs or NaNs")
-    zero_tilt = params.delta == 0
-    e0 =_lowest_pair(*(_fold(h)[0] if zero_tilt else (h.diag, h.offdiag)), False)[0][0]
-    # drivers round E0 apart by far less than the residual tolerance; the
-    # margin keeps the ground state inside even a zero-width window
+    # E0's Sturm count certified nothing RESIDUAL_TOL |H| below it (Perron-Frobenius
+    # puts the odd block no lower): the margin keeps it inside even a zero-width window
     margin = RESIDUAL_TOL * h.norm_estimate
     return _solve(
-        h, zero_tilt, select="v", select_range=(e0 - margin, e0 + window + margin),
+        h, params.delta == 0, select="v", select_range=(e0 - margin, e0 + window + margin),
         lapack_driver="stemr",
     )
 

@@ -48,7 +48,7 @@ def visibility(moments: Moments, n_particles: int) -> float:
     most ``NU_ROUNDING_SLACK`` is rounding and reads as 1, a larger one raises
     VisibilityError."""
     nu = float(2.0 * abs(moments.jx) / n_particles)
-    if nu > 1.0 + NU_ROUNDING_SLACK:
+    if not nu <= 1.0 + NU_ROUNDING_SLACK:  # NaN fails too
         raise VisibilityError(f"nu = {nu!r} outside (0, 1]")
     return min(nu, 1.0)
 

@@ -389,11 +389,35 @@ class TestSupportSolve:
         want[n // 2:(n + 3) // 2] = 1.0 if n % 2 == 0 else math.sqrt(0.5)
         assert np.allclose(state.coeffs, want, rtol=0, atol=1e-15)
 
-    def test_low_spectrum_of_a_huge_h(self):
-        # the residual of |H| ~ 1e302 used to overflow when squared
-        energies, vectors = josephson.low_spectrum(ModelParams(1001, 1e300), 0.5)
-        assert vectors.shape == (1002, 2)
-        assert np.allclose(np.abs(vectors[500:502]), math.sqrt(0.5), rtol=0, atol=1e-15)
+    @pytest.mark.parametrize("n, lam", [(1000, 1e160), (1000, 1e300), (1001, 1e300)])
+    def test_low_spectrum_of_a_huge_h(self, n, lam):
+        # the residual of |H| ~ 1e302 used to overflow when squared; E0 comes
+        # from the power-of-two scaled support solve.  The window holds m = 0,
+        # or at odd N the pair m = +-1/2 that the margin spans
+        energies, vectors = josephson.low_spectrum(ModelParams(n, lam), 0.5)
+        kept = 1 + n % 2
+        assert vectors.shape == (n + 1, kept)
+        assert np.allclose(
+            np.abs(vectors[n // 2:n // 2 + kept]), math.sqrt(1 / kept), rtol=0, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("n", [40, 1000, 1001])
+    @pytest.mark.parametrize("lam", [-1.2, -0.9, 0.5, 8.0])
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_low_spectrum_anchors_at_the_ground_solve(self, monkeypatch, n, lam, delta):
+        # one route to the lowest level: a window's E0 is the certified
+        # ground solve's, and its lowest level lies within the margin of it
+        params, calls = ModelParams(n, lam, delta), []
+
+        def counting(*args):
+            calls.append(None)
+            return ground_pair(*args)
+
+        monkeypatch.setattr(josephson, "_ground_pair", counting)
+        energies, _ = josephson.low_spectrum(params, 0.5)
+        assert len(calls) == 1
+        norm = build_hamiltonian(params).norm_estimate
+        assert abs(energies[0] - ground_state(params)[0]) <= RESIDUAL_TOL * norm
 
 
 class TestFullSpectrum:
@@ -601,9 +625,9 @@ class TestThermalEnsemble:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
     @pytest.mark.parametrize("delta", [0.0, 0.3])
     def test_low_spectrum_refuses_an_overflowed_hamiltonian(self, delta):
-        # lambda = 1e306 at N = 1000 puts inf on the diagonal; stebz has no
-        # finiteness check, so low_spectrum makes eigh_tridiagonal's
-        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        # lambda = 1e306 at N = 1000 puts inf on the diagonal; E0's ground
+        # solve refuses it with the package's one finiteness check
+        with pytest.raises(ValueError, match="^lam and every tilt must give a finite Hamiltonian$"):
             josephson.low_spectrum(ModelParams(1000, 1e306, delta), 1.0)
 
     @pytest.mark.parametrize("t", [5e-324, 1e-310])

@@ -387,11 +387,12 @@ class TestRunScan:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
     def test_overflowed_thermal_column_fails_alone(self):
         # at N = 1000, lambda = 1e306 overflows the diagonal to inf, which
-        # E0's solve must refuse as the finiteness check of eigh_tridiagonal did
+        # E0's ground solve refuses with the package's one finiteness check
         good, temps = (-1.3, 0.5), (0.0, 1.0)
         rows = run_scan(thermal_spec(1000, good + (1e306,), temps))
         assert rows[:4] == run_scan(thermal_spec(1000, good, temps))
-        assert [r.error for r in rows[4:]] == ["ValueError: array must not contain infs or NaNs"] * 2
+        message = "ValueError: lam and every tilt must give a finite Hamiltonian"
+        assert [r.error for r in rows[4:]] == [message] * 2
 
     def test_cache_serves_only_exact_keys(self, tmp_path):
         # a table is keyed by the largest finite T of its column: a wider

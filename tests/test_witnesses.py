@@ -229,7 +229,8 @@ class TestVisibilityRounding:
         assert visibility(self.moments_with_nu(1.0 + NU_ROUNDING_SLACK, n), n) == 1.0
         assert visibility(self.moments_with_nu(-1.0 - NU_ROUNDING_SLACK, n), n) == 1.0
 
-    @pytest.mark.parametrize("excess", [1e-9, 64 * np.finfo(float).eps])
+    # NaN is no excess, but must raise as one does, not pass the slack check
+    @pytest.mark.parametrize("excess", [1e-9, 64 * np.finfo(float).eps, math.nan])
     def test_larger_excess_still_raises(self, excess):
         m = self.moments_with_nu(1.0 + excess, 400)
         with pytest.raises(VisibilityError, match="outside"):

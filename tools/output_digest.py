@@ -72,6 +72,15 @@ THERMAL_BOUNDARY_N2000_COARSE = {
 THERMAL_BOUNDARY_N2000_REFINED = {
     **THERMAL_BOUNDARY_N2000_COARSE, "noise_grid": {"start": 0.0, "stop": 3.5, "num": 25}
 }
+# thermal windows at even N where LAPACK gets a power-of-two scaled H: E0
+# comes from the scaled support solve
+THERMAL_HUGE = {
+    "n_particles": 1000,
+    "lambda_grid": [0.5, 1e160, 1e300],
+    "mode": "thermal",
+    "noise_axis": "temperature",
+    "noise_grid": [0.0, 1.0],
+}
 BLURRED = {
     "n_particles": 1000,
     "lambda_grid": [-0.9, 0.5, 8.0],
@@ -174,6 +183,7 @@ CASES = (
     ("scan-thermal-inf", ["scan"], THERMAL_INF),
     ("scan-thermal-tiny-t", ["scan"], THERMAL_TINY),
     ("scan-thermal-overflow", ["scan"], THERMAL_OVERFLOW),
+    ("scan-thermal-huge", ["scan"], THERMAL_HUGE),
     ("scan-thermal-cache-cold", ["scan", "--cache", "cache"], THERMAL_INF),
     ("scan-thermal-cache-warm", ["scan", "--cache", "cache"], THERMAL_INF),
     ("scan-thermal-cache-narrower", ["scan", "--cache", "cache"], THERMAL_NARROWER),
