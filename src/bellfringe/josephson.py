@@ -362,7 +362,7 @@ def full_spectrum(params: ModelParams) -> Spectrum:
     depend on the LAPACK driver.  At zero tilt the even and odd ``_fold``
     blocks are solved apart: every vector has definite parity, and the
     ferromagnetic doublets for lam < -1 come out as their even and odd
-    members, even first, however close their energies.
+    members, in the order of their rounded energies, even first on a tie.
     """
     if params.n_particles > FULL_SPECTRUM_CAP:
         raise ValueError(

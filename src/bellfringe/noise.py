@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .josephson import ConvergenceError, ModelParams, ground_state, ground_states
+from .josephson import ConvergenceError, ModelParams, ground_states
 from .josephson import thermal_ensemble
-from .spin_core import Moments, SpinState, StateEnsemble, _is_integer, compute_moments
+from .spin_core import Moments, SpinState, StateEnsemble, _is_integer
 from .spin_core import moment_table
 from .witnesses import _require_nu_range
 
@@ -138,25 +138,19 @@ def _tilt_column(n_particles: int, lam: float, sigmas, order: int, check: bool):
 
 
 def delta_column_moments(n_particles: int, lam: float, sigmas) -> list:
-    """Moments of the tilt mixture at each sigma_delta of ``sigmas`` for one
-    lambda, checked by node doubling: the nonzero ones on one shared panel
-    (within ``MIN_SHARED_SIGMA_RATIO``), 0 the pure ground state.  A sigma
-    still drifting at ``MAX_QUAD_ORDER`` gets its ConvergenceError, and every
-    sigma of a solve that raised gets the exception in place of its moments."""
-    if not all(0 <= s < math.inf for s in sigmas):  # NaN fails too
-        raise ValueError(f"sigma_delta must be nonnegative and finite, got {list(sigmas)}")
-    positive = sorted({s for s in sigmas if s > 0}, reverse=True)
-    groups = [[0.0]] if 0 in sigmas else []
-    while positive:
-        groups.append([s for s in positive if s >= MIN_SHARED_SIGMA_RATIO * positive[0]])
-        positive = positive[len(groups[-1]):]
-    found = {}
-    for group in groups:
+    """Moments of the tilt mixture at each positive sigma_delta of ``sigmas``
+    for one lambda, checked by node doubling on one shared panel (within
+    ``MIN_SHARED_SIGMA_RATIO``).  A sigma still drifting at ``MAX_QUAD_ORDER``
+    gets its ConvergenceError, and every sigma of a solve that raised gets
+    the exception in place of its moments."""
+    if not all(0 < s < math.inf for s in sigmas):  # NaN fails too
+        raise ValueError(f"sigma_delta must be positive and finite, got {list(sigmas)}")
+    found, left = {}, sorted(set(sigmas), reverse=True)
+    while left:
+        group = [s for s in left if s >= MIN_SHARED_SIGMA_RATIO * left[0]]
+        left = left[len(group):]
         try:
-            if group[0] > 0:
-                results = _tilt_column(n_particles, lam, group, DEFAULT_QUAD_ORDER, True)[1]
-            else:
-                results = [compute_moments(ground_state(ModelParams(n_particles, lam, 0.0))[1])]
+            results = _tilt_column(n_particles, lam, group, DEFAULT_QUAD_ORDER, True)[1]
         except Exception as exc:  # fails only the rows of this group
             results = [exc] * len(group)
         found.update(zip(group, results))

@@ -1,17 +1,18 @@
 """Parameter scans over interaction strength and a noise axis.
 
 A scan walks a lambda grid (outer) and a noise grid (inner) and emits one
-row of witness quantities per point.  For each lambda, ``_column_moments``
-does the shared work and lists the spin moments at each noise value:
-ground and blurred modes, the one ground-state row, solved in lambda blocks
-(blurred also checks its unblurred report); delta_mixture, the quadrature
-mixtures of all its sigma_delta on one tilt grid; thermal, Boltzmann
-averages of a K x 6 moment table of the levels the largest finite T
-occupies, solved once or read from a cache directory that serves a table
-only to its exact key (T = 0 reads its ground row, and T = inf is the
-uniform mixture).  One row path then probes the visibility floor (after any
-blur), rotates, forms (xi^2, nu) and builds the witness report.  A failure at
-one point becomes an error row; a failed column solve fails the column.
+row of witness quantities per point.  Every mode first solves the ground
+states of its lambda grid in blocks; for each lambda, ``_column_moments``
+then lists the spin moments at each noise value: ground and blurred modes,
+and every zero noise value, the ground row (blurred also checks its
+unblurred report); delta_mixture, the quadrature mixtures of its positive
+sigma_delta on one tilt grid; thermal, Boltzmann averages of a K x 6 moment
+table of the levels the largest positive finite T occupies, solved once or
+read from a cache directory that serves a table only to its exact key, with
+level 0 read from the ground row (T = inf is the uniform mixture).  One row
+path then probes the visibility floor (after any blur), rotates, forms
+(xi^2, nu) and builds the witness report.  A failure at one point becomes an
+error row; a failed column solve fails the column.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 import numbers
 import os
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -255,34 +256,30 @@ def _ground_moments(n_particles: int, lams, block: int = GROUND_BLOCK) -> list:
 
 def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache_dir, ground) -> list:
     """The moments of one lambda column at each value of the spec's noise
-    grid, in order: each the Moments or the exception its solve ended in."""
-    n = spec.n_particles
-    if spec.mode == "delta_mixture":  # one tilt grid for the whole column
-        return delta_column_moments(n, lam, spec.noise_grid)
-    if spec.mode != "thermal":
-        moments = _settled(ground)
-        if spec.mode == "blurred":
-            # blur rescales nu only; the unblurred report must hold for the column
-            report_from_moments(moments, n, apply_rotation=rotate)
-        return [moments] * len(spec.noise_grid)
-    finite = [t for t in spec.noise_grid if not math.isinf(t)]
-    if finite:
-        energies, table = _thermal_table(ModelParams(n, lam, 0.0), max(finite), cache_dir)
+    grid, in order: each the Moments or the exception its solve ended in.
+    Zero noise, and level 0 of a thermal table, read ``ground``."""
+    n, grid = spec.n_particles, spec.noise_grid
+    if spec.mode == "blurred":
+        # blur rescales nu only; the unblurred report must hold for the column
+        report_from_moments(_settled(ground), n, apply_rotation=rotate)
+        return [ground] * len(grid)
     # T = inf is the uniform mixture: no <Jx>, each <Ji^2> = j(j+1)/3
-    uniform = Moments(0.0, 0.0, 0.0, *[n * (n + 2) / 12] * 3)
-    return [
-        uniform if math.isinf(t)
-        else Moments(*(table[0] if t == 0 else boltzmann_weights(energies, t) @ table))
-        for t in spec.noise_grid
-    ]
+    found = {0.0: ground, math.inf: Moments(0.0, 0.0, 0.0, *[n * (n + 2) / 12] * 3)}
+    positive = [v for v in grid if 0 < v < math.inf]  # none in a ground_state column
+    if positive and spec.mode == "delta_mixture":  # one tilt grid for the whole column
+        found.update(zip(positive, delta_column_moments(n, lam, positive)))
+    elif positive:
+        energies, table = _thermal_table(ModelParams(n, lam, 0.0), positive[-1], cache_dir)
+        table[0] = astuple(_settled(ground))  # in memory: the cached file keeps its row
+        found.update((t, Moments(*(boltzmann_weights(energies, t) @ table))) for t in positive)
+    return [found[v] for v in grid]
 
 
 def _scan_rows(spec: ScanSpec, lams, cache_dir=None) -> list:
     """Rows of the lambda columns ``lams``, in order: the moments of each
     column at each noise value (ground states of all columns first), then
     the nu floor, blur, rotation and witness report, the same in every mode."""
-    blocked = spec.mode in ("ground_state", "blurred")
-    ground = _ground_moments(spec.n_particles, lams) if blocked else [None] * len(lams)
+    ground = _ground_moments(spec.n_particles, lams)
     rows = []
     for lam, solved in zip(lams, ground):
         rotate = spec.rotation == "auto" and lam > 0

@@ -522,6 +522,14 @@ class TestParityBlocks:
         # same states: the projectors on the kept subspaces agree
         assert np.abs(vectors @ vectors.T - want_v @ want_v.T).max() <= 1e-8
 
+    def test_doublet_order_follows_the_rounded_energies(self):
+        # at (1000, -1.3) the odd member of the ground doublet rounds below
+        # the even one, so it is column 0; whichever comes first, column 0
+        # has definite parity
+        spec = full_spectrum(ModelParams(1000, -1.3, 0.0))
+        v = np.asarray(spec.states[0].coeffs)
+        assert np.array_equal(v, v[::-1]) or np.array_equal(v, -v[::-1])
+
     @pytest.mark.parametrize("n", [1000, 1001])
     def test_ferromagnetic_ground_state_is_even(self, n):
         # lam < -1: the odd partner lies within rounding of the ground level

@@ -7,7 +7,6 @@ from bellfringe import (
     ModelParams,
     bell_witness,
     blur_visibility,
-    compute_moments,
     delta_mixture,
     delta_thermal_mixture,
     ensemble_moments,
@@ -132,12 +131,14 @@ class TestDeltaMixture:
 
 class TestDeltaColumn:
     def test_one_sigma_column_is_delta_mixture_moments(self):
-        # named for the retired one-sigma alias: a sigma next to the ground
-        # entry gets the moments of its one-sigma column
+        # named for the retired one-sigma alias: a sigma given twice gets the
+        # moments of its one-sigma column; sigma_delta = 0, the ground state,
+        # is the scan's ground row and is refused here
         n, lam = 60, -1.1
-        ground, mixed = delta_column_moments(n, lam, [0.0, 0.04])
-        assert [mixed] == delta_column_moments(n, lam, [0.04])
-        assert ground == compute_moments(ground_state(ModelParams(n, lam, 0.0))[1])
+        mixed, again = delta_column_moments(n, lam, [0.04, 0.04])
+        assert [mixed] == [again] == delta_column_moments(n, lam, [0.04])
+        with pytest.raises(ValueError, match="sigma_delta must be positive and finite"):
+            delta_column_moments(n, lam, [0.0, 0.04])
 
     @pytest.mark.parametrize("lam", [-1.2, -1.03, 0.5, 8.0])
     def test_shared_grid_matches_per_sigma_oracle(self, lam):
@@ -171,21 +172,22 @@ class TestDeltaColumn:
 
     def test_rejects_negative_and_nan_sigma(self):
         for sigmas in ([0.1, -0.1], [math.nan]):
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match="positive and finite"):
                 delta_column_moments(10, 0.0, sigmas)
 
     @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
     def test_every_entry_point_rejects_bad_sigma(self, sigma):
         # inf used to die in the panel on a RuntimeWarning, and NaN to be
         # reported as a non-finite Hamiltonian
-        for solve in (
-            lambda: delta_column_moments(10, 0.5, [0.1, sigma]),
-            lambda: delta_column_moments(10, 0.5, [sigma]),
-            lambda: delta_mixture(10, 0.5, sigma),
-            lambda: delta_thermal_mixture(10, 0.5, sigma, 0.0),
-            lambda: delta_thermal_mixture(10, 0.5, sigma, 0.5, order=5),
+        # delta_column_moments takes only positive widths
+        for solve, kind in (
+            (lambda: delta_column_moments(10, 0.5, [0.1, sigma]), "positive"),
+            (lambda: delta_column_moments(10, 0.5, [sigma]), "positive"),
+            (lambda: delta_mixture(10, 0.5, sigma), "nonnegative"),
+            (lambda: delta_thermal_mixture(10, 0.5, sigma, 0.0), "nonnegative"),
+            (lambda: delta_thermal_mixture(10, 0.5, sigma, 0.5, order=5), "nonnegative"),
         ):
-            with pytest.raises(ValueError, match="sigma_delta must be nonnegative and finite"):
+            with pytest.raises(ValueError, match=f"sigma_delta must be {kind} and finite"):
                 solve()
 
     @pytest.mark.parametrize("t", [0.0, 0.5])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,17 +299,35 @@ class TestRunScan:
 
         assert at_zero("blurred") == ground
         assert at_zero("delta_mixture") == ground
-        # T = 0 reads the stemr window's first state, not the stebz ground
-        # state; a, b and theta0 lose relative accuracy where they cancel to
-        # near zero, hence the absolute floor
-        for row, want in zip(at_zero("thermal"), ground, strict=True):
-            assert (row.lam, row.error, row.rotated, row.interior_minimum) == (
-                want.lam, want.error, want.rotated, want.interior_minimum
-            )
-            for name in ("nu", "xi2", "a_param", "b_param", "theta0", "var_phi"):
-                assert getattr(row, name) == pytest.approx(
-                    getattr(want, name), rel=1e-12, abs=1e-12, nan_ok=True
-                ), (row.lam, name)
+        assert at_zero("thermal") == ground
+
+    @pytest.mark.parametrize("n, lam", [(1000, -1.5), (200, -2.0), (40, -4.0)])
+    def test_odd_first_window_keeps_the_ground_row(self, n, lam):
+        # the ground doublet is degenerate to rounding, and the T = 0.5 window
+        # sorts its odd member first: level 0 of the table is still the ground row
+        vectors = josephson.low_spectrum(ModelParams(n, lam, 0.0), 0.5)[1]
+        assert np.array_equal(vectors[:, 0], -vectors[::-1, 0])
+        rows = run_scan(thermal_spec(n, [lam], (0.0, 1e-310, 0.5)))
+        ground = run_scan(ground_spec([lam], n=n))
+        assert [replace(row, noise_value=0.0) for row in rows[:2]] == ground * 2
+        if n <= 40:
+            for row in rows[::2]:  # the dense weights overflow at T = 1e-310
+                want = dense_thermal_report(n, lam, row.noise_value)
+                for name in ("nu", "xi2", "a_param", "b_param", "theta0", "var_phi"):
+                    assert getattr(row, name) == pytest.approx(
+                        getattr(want, name), rel=0, abs=1e-9
+                    ), (row.noise_value, name)
+
+    @pytest.mark.parametrize("temps", [(0.0,), (0.0, math.inf)])
+    def test_column_without_a_positive_finite_temperature_solves_no_window(
+        self, tmp_path, monkeypatch, temps
+    ):
+        solved = []
+        monkeypatch.setattr(scan, "low_spectrum", lambda *args: solved.append(args))
+        lams = (-0.5, 0.5)
+        rows = run_scan(thermal_spec(40, lams, temps), cache_dir=str(tmp_path))
+        assert solved == [] and list(tmp_path.iterdir()) == []
+        assert rows[::len(temps)] == run_scan(ground_spec(lams, n=40))
 
     def test_subnormal_temperature_is_the_zero_temperature_limit(self):
         # (E - E0) / T overflows to inf for a subnormal T: each gap's weight
@@ -440,7 +459,7 @@ def ground_moments(n, lam):
 
 
 class TestGroundBlocks:
-    """Ground and blurred scans solve their lambda grid in blocks."""
+    """Scans solve the ground states of their lambda grid in blocks."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 1001])
     def test_block_moments_are_the_per_lambda_moments(self, n):

@@ -72,6 +72,12 @@ THERMAL_BOUNDARY_N2000_COARSE = {
 THERMAL_BOUNDARY_N2000_REFINED = {
     **THERMAL_BOUNDARY_N2000_COARSE, "noise_grid": {"start": 0.0, "stop": 3.5, "num": 25}
 }
+# the zero-tilt ground doublet at N = 1000, degenerate to rounding: at
+# lambda = -1.5 the window sorts its odd member first, at -1.3 its even one;
+# T = 0 and 1e-310 must give the ground row either way
+THERMAL_DOUBLET = {**THERMAL_TINY, "lambda_grid": [-1.5, -1.3], "noise_grid": [0.0, 1e-310, 0.5]}
+# no positive finite temperature: the column solves no window
+THERMAL_ZERO_ONLY = {**THERMAL_INF, "noise_grid": [0.0, math.inf]}
 # thermal windows at even N where LAPACK gets a power-of-two scaled H: E0
 # comes from the scaled support solve
 THERMAL_HUGE = {
@@ -184,6 +190,8 @@ CASES = (
     ("scan-thermal-tiny-t", ["scan"], THERMAL_TINY),
     ("scan-thermal-overflow", ["scan"], THERMAL_OVERFLOW),
     ("scan-thermal-huge", ["scan"], THERMAL_HUGE),
+    ("scan-thermal-doublet", ["scan"], THERMAL_DOUBLET),
+    ("scan-thermal-zero-only", ["scan"], THERMAL_ZERO_ONLY),
     ("scan-thermal-cache-cold", ["scan", "--cache", "cache"], THERMAL_INF),
     ("scan-thermal-cache-warm", ["scan", "--cache", "cache"], THERMAL_INF),
     ("scan-thermal-cache-narrower", ["scan", "--cache", "cache"], THERMAL_NARROWER),
