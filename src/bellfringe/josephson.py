@@ -106,10 +106,10 @@ class SymTridiag:
     diag: np.ndarray
     offdiag: np.ndarray
 
-    @property
+    @functools.cached_property  # sound: no code writes diag or offdiag in place
     def norm_estimate(self):
-        """Max row sum, an upper bound on the spectral norm: a float, or one
-        bound per column for a 2-D ``diag`` (one H per column)."""
+        """Max row sum, an upper bound on the spectral norm, computed once per H:
+        a float, or one bound per column for a 2-D ``diag`` (one H per column)."""
         row, e = np.abs(self.diag), np.abs(self.offdiag)
         if row.ndim == 2:
             e = e[:, None]
@@ -314,9 +314,9 @@ def ground_states(n_particles: int, lam, tilts) -> tuple[np.ndarray, np.ndarray]
     """Ground eigenpairs ``(energies, vectors)`` of H(lam, delta), one column
     per element of ``lam`` and ``tilts`` broadcast together (1-D).
 
-    Each diagonal is H(lam, 0) as ``build_hamiltonian`` rounds it, plus
-    delta * m.  ``_ground_pair`` solves it, or at zero tilt only the even
-    ``_fold`` block (the Perron-Frobenius ground state is even), on its
+    Each diagonal is ``build_hamiltonian``'s for (lam, delta), bit for bit.
+    ``_ground_pair`` solves it, or at zero tilt only the even ``_fold``
+    block of it (the Perron-Frobenius ground state is even), on its
     support: rows seeded from that H alone (so a column has the same bits in
     any block), grown until both end components are within SUPPORT_RTOL of
     the peak, and certified by a Sturm count on the whole H or block.  The
@@ -326,14 +326,13 @@ def ground_states(n_particles: int, lam, tilts) -> tuple[np.ndarray, np.ndarray]
     lams, tilts = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(tilts, dtype=float))
     m, c = _ladder(n_particles)[:2]
     offdiag = -c
-    flat = (lams[:, None] / n_particles * m) * m + 0.0 * m  # rows of H(lam, 0)
-    diags = flat + tilts[:, None] * m  # row k, contiguous for LAPACK, is column k's
+    diags = (lams[:, None] / n_particles * m) * m + tilts[:, None] * m  # row k: column k's H
     if not np.isfinite(diags).all():  # checked once here, not per solve
         raise ValueError("lam and every tilt must give a finite Hamiltonian")
     h, zero = SymTridiag(diags.T, offdiag), tilts == 0
     energies, vectors = np.empty(len(tilts)), np.empty((n_particles + 1, len(tilts)), order="F")
     for k, (diag, norm) in enumerate(zip(diags, h.norm_estimate)):
-        block = _fold(SymTridiag(flat[k], offdiag))[0] if zero[k] else (diag, offdiag)
+        block = _fold(SymTridiag(diag, offdiag))[0] if zero[k] else (diag, offdiag)
         energies[k:k + 1], v = _ground_pair(*block, norm)
         vectors[:, k:k + 1] = _unfold(v, 1.0, n_particles) if zero[k] else v
     return _checked(h, energies, vectors, zero, gram=False)

@@ -178,10 +178,10 @@ def delta_mixture(
         return thermal_ensemble(ModelParams(n_particles, lam, 0.0), 0.0)
     states, (moments,) = _tilt_column(n_particles, lam, [sigma_delta], order, check)
     _settled(moments)
-    # rows: the mirrored states at the negative nodes, then the positive ones
-    rows = np.vstack([states.T[::-1, ::-1], states.T])
+    # the negative nodes, outermost first, hold reversed views of the positive ones
+    mirrored = [SpinState(v[::-1]) for v in states.T[::-1]]
     rule = split_gaussian_rule(states.shape[1], sigma_delta)
-    return StateEnsemble(tuple(map(SpinState, rows)), rule.weights)
+    return StateEnsemble((*mirrored, *map(SpinState, states.T)), rule.weights)
 
 
 def delta_thermal_mixture(

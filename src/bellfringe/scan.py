@@ -341,12 +341,11 @@ def make_evaluator(spec: ScanSpec, column: str = "b_param"):
 
 def _sign_changes(rows, column: str):
     """Adjacent pairs ``(left, right)`` of ``rows`` across which ``column``
-    changes sign; ``right`` is None where ``left`` itself is an exact zero."""
-    for left, right in zip(rows[:-1], rows[1:]):
-        v1, v2 = getattr(left, column), getattr(right, column)
-        if v1 == 0.0:
+    changes sign; ``right`` is None where ``left``, the last row too, is an exact zero."""
+    for left, right in zip(rows, [*rows[1:], None]):
+        if getattr(left, column) == 0.0:
             yield left, None
-        elif v1 * v2 < 0:
+        elif right is not None and getattr(left, column) * getattr(right, column) < 0:
             yield left, right
 
 

@@ -105,6 +105,24 @@ class TestSymTridiag:
         assert type(h0.norm_estimate) is float
         assert h0.norm_estimate == block.norm_estimate[0]
 
+    def test_norm_estimate_runs_once_per_h(self, monkeypatch):
+        # the body is counted under the descriptor the class defines
+        original, runs = vars(SymTridiag)["norm_estimate"], []
+        body = getattr(original, "func", None) or original.fget
+
+        def counting(h):
+            runs.append(None)
+            return body(h)
+
+        patched = type(original)(counting)
+        patched.__set_name__(SymTridiag, "norm_estimate")
+        monkeypatch.setattr(SymTridiag, "norm_estimate", patched)
+        ground_states(40, [-1.5, -0.7, 0.5, 4.0], [0.0, 0.05, 0.0, 0.05])
+        assert len(runs) == 1  # the block's, read by the solves and by _checked
+        runs.clear()
+        josephson.low_spectrum(ModelParams(40, -0.7, 0.05), 0.5)
+        assert len(runs) == 2  # its ground solve's H, then the window's
+
 
 class TestGroundState:
     def test_n2_free(self):
@@ -211,6 +229,27 @@ class TestGroundStates:
             want = dense_moments(n, dense_v[:, 0])
             for name, value in want.items():
                 assert getattr(got, name) == pytest.approx(value, rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [40, 41])
+    @pytest.mark.parametrize("lam", [-0.7, 0.0, 3.0])
+    def test_every_diagonal_is_build_hamiltonians(self, monkeypatch, n, lam):
+        # one rule for a diagonal, the sign of a zero included: at m = 0,
+        # lam < 0 and a negative tilt give -0.0; a zero tilt hands on its
+        # even _fold block
+        tilts, seen = np.array([-0.05, 0.0, -0.0, 0.05, 2.0]), []
+
+        def recording(diag, *args):
+            seen.append(diag.copy())
+            return ground_pair(diag, *args)
+
+        monkeypatch.setattr(josephson, "_ground_pair", recording)
+        ground_states(n, lam, tilts)
+        assert len(seen) == len(tilts)
+        for diag, delta in zip(seen, tilts):
+            h = build_hamiltonian(ModelParams(n, lam, delta))
+            want = josephson._fold(h)[0][0] if delta == 0 else h.diag
+            assert np.array_equal(diag, want)
+            assert np.array_equal(np.signbit(diag), np.signbit(want))
 
     def test_one_column_is_ground_state(self):
         # ground_state is the one-column block: every column, bit for bit
@@ -704,6 +743,23 @@ class TestWindowMemory:
         own = sum(state.coeffs.nbytes for state in ens.states)
         assert len(ens.states) > 300
         assert retained < 0.75 * own  # each mirror is a view of its node's state
+
+    def test_delta_mixture_retains_only_its_states(self):
+        ground_state(ModelParams(1000, 0.5, 0.05))  # caches filled first
+        ens, _, retained = traced(lambda: delta_mixture(1000, 0.5, 0.05))
+        own = sum(state.coeffs.nbytes for state in ens.states)
+        assert len(ens.states) > 40
+        assert retained < 0.75 * own  # each mirror is a view of its node's state
+
+    def test_ground_scan_holds_one_diagonal_block(self):
+        # a warm 8-lambda block at large N holds one (block x N) diagonal
+        # array; with the vectors and the checks' temporaries it peaks near
+        # 6.3 such arrays
+        n, lams = 250_000, np.linspace(-1.3, 2.0, 8)
+        _ladder(n)  # cached, as every block after a scan's first finds it
+        ground_state(ModelParams(20, 0.5))  # scipy loaded first
+        _, peak, _ = traced(lambda: ground_states(n, lams, 0.0))
+        assert peak < 6.8 * 8 * (n + 1) * 8
 
 
 def run_fresh(code: str) -> str:

@@ -593,9 +593,27 @@ class TestCrossingsAndBoundary:
 
         rows = [ScanRow(lam=float(k), noise_value=0.0, b_param=b)
                 for k, b in enumerate([-1.0, 0.0, 1.0, 0.0])]
-        assert find_zero_crossings(rows, "b_param", never) == [1.0]
+        # the zero on the last row counts as the one on an inner row does
+        assert find_zero_crossings(rows, "b_param", never) == [1.0, 3.0]
         column = [ScanRow(lam=2.0, noise_value=r.lam / 2, b_param=r.b_param) for r in rows]
         assert extract_region_boundary(column) == [(2.0, 0.5)]
+
+    def test_exact_zero_on_the_last_row_is_a_crossing(self):
+        def never(lam):
+            raise AssertionError("an exact zero needs no bisection")
+
+        rows = [ScanRow(lam=float(k), noise_value=0.0, b_param=b)
+                for k, b in enumerate([2.0, 1.0, 0.0])]
+        assert find_zero_crossings(rows, "b_param", never) == [2.0]
+
+    def test_boundary_at_an_exact_zero_on_the_last_row(self):
+        # the first row's zero is a boundary, and so is the last row's
+        assert extract_region_boundary(
+            [ScanRow(0.5, 0.0, b_param=0.0), ScanRow(0.5, 1.0, b_param=0.1)]
+        ) == [(0.5, 0.0)]
+        assert extract_region_boundary(
+            [ScanRow(0.5, 0.0, b_param=-0.1), ScanRow(0.5, 1.0, b_param=0.0)]
+        ) == [(0.5, 1.0)]
 
     def test_boundary_keeps_grid_order_of_repeated_noise_values(self):
         # a stable sort by noise value: the rows at 0.5 keep their order

@@ -155,6 +155,15 @@ BLURRED_CROSSING = {
     "noise_axis": "sigma_detector",
     "noise_grid": [0.4],
 }
+# a crossing of b in delta mode: every bisection step solves a fresh panel
+# of tilted ground states
+DELTA_CROSSING = {
+    "n_particles": 200,
+    "lambda_grid": {"start": -1.0, "stop": -0.5, "num": 6},
+    "mode": "delta_mixture",
+    "noise_axis": "sigma_delta",
+    "noise_grid": [0.02],
+}
 NEGATIVE_ZERO_LAMBDA = {"n_particles": 20, "lambda_grid": [-0.0, 1.0]}
 NEGATIVE_ZERO_NOISE = {
     "n_particles": 20,
@@ -211,6 +220,7 @@ CASES = (
     ("crossings-b", ["crossings"], CROSSING),
     ("crossings-a", ["crossings", "--column", "a_param"], CROSSING),
     ("crossings-blurred", ["crossings"], BLURRED_CROSSING),
+    ("crossings-delta", ["crossings"], DELTA_CROSSING),
     ("crossings-several-noise-values", ["crossings"], THERMAL_README),
     ("boundary-thermal-readme", ["boundary"], THERMAL_README),
     ("boundary-blurred", ["boundary"], BLURRED),
