@@ -19,7 +19,7 @@ from .fringe_mc import (
     verify_sensitivity,
 )
 from .scan import (
-    MC_KEYS,
+    MC_DEFAULTS,
     ScanSpec,
     _mc_settings,
     _write_output,
@@ -100,7 +100,7 @@ def cmd_boundary(args) -> int:
 def cmd_mc_verify(args) -> int:
     # each setting: its flag if given, else the config's "mc" block, else the default
     block = _load_config(args.config).get("mc") if args.config else None
-    flags = {key: getattr(args, key, None) for key in MC_KEYS}
+    flags = {key: getattr(args, key, None) for key in MC_DEFAULTS}
     mc, params = _mc_settings(block, flags)
     nu, xi2 = mc["nu"], mc["xi2"]
     result = verify_sensitivity(params, xi2, mc["n_shots"], mc["seed"])

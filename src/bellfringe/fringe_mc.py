@@ -94,13 +94,15 @@ def _require_xi2(xi2) -> None:
 
 def _require_bench_ranges(params: FringeParams, xi2, n_shots) -> None:
     """The ranges the bench runs in, one check for ``verify_sensitivity`` and
-    for every command's "mc" block: nu inside the fit-regime guard
-    (0.2, 0.98), phi in [-pi, pi] (far outside, the shot noise drowns in the
-    rounding of phi), n_shots an integer >= 1000 and xi2 finite and >= 0."""
+    for every command's "mc" block: nu in the fit-regime guard (0.2, 0.98),
+    phi in [-pi, pi] (far outside, shot noise drowns in phi's rounding),
+    n_atoms >= 5 (see ``fit_counts``), n_shots an integer >= 1000, xi2 finite >= 0."""
     if not 0.2 < params.nu < 0.98:
         raise ValueError("nu outside the fit-regime guard (0.2, 0.98)")
     if not -math.pi <= params.phi <= math.pi:
         raise ValueError(f"phi must lie in [-pi, pi], got {params.phi!r}")
+    if params.n_atoms < 5:  # ceil(sqrt(N)) >= 3 bins a period
+        raise ValueError(f"n_atoms must be >= 5, got {params.n_atoms!r}")
     if not _is_integer(n_shots) or n_shots < 1000:
         raise ValueError(f"n_shots must be an integer >= 1000, got {n_shots!r}")
     _require_xi2(xi2)
@@ -164,8 +166,9 @@ def sample_counts(params: FringeParams, shot_phases, waves: np.ndarray, rng):
 def fit_counts(counts, n_atoms: int, waves: np.ndarray) -> np.ndarray:
     """Least-squares phase of each row of bin counts, the bench's one fit.
 
-    The model 1 + nu cos(kx + phi) is linear in (nu cos phi, nu sin phi), and
-    over whole periods the cos kx and sin kx bin columns are orthogonal with
+    The model 1 + nu cos(kx + phi) is linear in (nu cos phi, nu sin phi).
+    Over whole periods of at least 3 bins each (the precondition: with 1 or 2
+    one column vanishes) the cos kx and sin kx bin columns are orthogonal with
     squared norm M/2 (M bins), so the least-squares solution is the Fourier
     projection (c, s) of ``_project``, with phi = atan2(-s, c) and
     nu = hypot(c, s).  Holding nu fixed does not move the optimal phase, and

@@ -147,9 +147,10 @@ def _checked(h: SymTridiag, energies, vectors, unfolded, gram: bool = True):
     """``(energies, vectors)`` after guards that hold for any backend: the
     residual of column k against its H (column k of a 2-D ``h.diag``, else the
     one H) over that H's |H|, by chunks of MOMENT_BLOCK columns; vectors of one
-    H orthonormal (``gram``), of different H of unit norm.  Then the columns at
-    ``unfolded`` are renormalized (``_unfold``'s 1/sqrt(2) leaves their norm a
-    few ulp off 1), and every column gets the ``_fix_signs`` convention."""
+    H orthonormal (``gram``), of different H of unit norm.  One sum of squares
+    per column serves that norm check and then, in one in-place division,
+    renormalizes the columns flagged by ``unfolded`` (a bool, or one per column:
+    ``_unfold``'s 1/sqrt(2) leaves them a few ulp off 1); then ``_fix_signs``."""
     diag = np.broadcast_to(h.diag.reshape(len(h.diag), -1), vectors.shape)
     norm_h = np.broadcast_to(np.maximum(h.norm_estimate, 1e-300), energies.shape)
     worst = 0.0
@@ -160,15 +161,13 @@ def _checked(h: SymTridiag, energies, vectors, unfolded, gram: bool = True):
         worst = np.maximum(worst, np.sqrt((resid * resid).sum(axis=0)).max())  # NaN stays
     if not worst <= RESIDUAL_TOL:  # NaN fails too
         raise ConvergenceError(f"eigenpair residual {worst:.3e} |H| > {RESIDUAL_TOL} |H|")
-    if gram:
-        defect = vectors.T @ vectors
-        defect[np.diag_indices_from(defect)] -= 1.0
-    else:
-        defect = (vectors * vectors).sum(axis=0) - 1.0
+    norm2 = (vectors * vectors).sum(axis=0)
+    defect = vectors.T @ vectors if gram else np.diag(norm2)  # norms alone across H
+    defect[np.diag_indices_from(defect)] -= 1.0
     ortho = np.abs(defect).max()
     if not ortho <= ORTHO_TOL:
         raise ConvergenceError(f"orthonormality defect {ortho:.3e}")
-    vectors[:, unfolded] /= np.sqrt((vectors[:, unfolded] ** 2).sum(axis=0))
+    vectors /= np.where(unfolded, np.sqrt(norm2), 1.0)
     return energies, _fix_signs(vectors)
 
 
@@ -297,7 +296,7 @@ def _solve(h: SymTridiag, zero_tilt: bool, **select) -> tuple[np.ndarray, np.nda
     _load_lapack()
     try:
         if not zero_tilt:
-            return _checked(h, *window(h.diag, h.offdiag), slice(0))
+            return _checked(h, *window(h.diag, h.offdiag), False)
         (w_even, even), (w_odd, odd) = [window(*block) for block in _fold(h)]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise ConvergenceError(str(exc)) from exc
@@ -307,7 +306,7 @@ def _solve(h: SymTridiag, zero_tilt: bool, **select) -> tuple[np.ndarray, np.nda
     vectors[:, order < len(w_even)] = _unfold(even, 1.0, len(h.diag) - 1)
     vectors[:, order >= len(w_even)] = _unfold(odd, -1.0, len(h.diag) - 1)
     del even, odd  # the checks need only the window
-    return _checked(h, energies[order], vectors, slice(None))
+    return _checked(h, energies[order], vectors, True)
 
 
 def ground_states(n_particles: int, lam, tilts) -> tuple[np.ndarray, np.ndarray]:

@@ -47,7 +47,6 @@ __all__ = [
     "CSV_HEADER",
 ]
 
-MODES = ("ground_state", "thermal", "delta_mixture", "blurred")
 MODE_AXIS = {
     "ground_state": "none",
     "thermal": "temperature",
@@ -91,7 +90,6 @@ MC_DEFAULTS = {
     "nu": 0.9, "xi2": 1.0, "phi": 0.0, "k": 1.0,
     "n_atoms": 1000, "n_periods": 8, "seed": 0, "n_shots": 10000,
 }
-MC_KEYS = frozenset(MC_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ class ScanSpec:
     mc: dict = None
 
     def __post_init__(self):
-        if self.mode not in MODES:
+        if self.mode not in MODE_AXIS:
             raise ValueError(f"unknown mode {self.mode!r}")
         if MODE_AXIS[self.mode] != self.noise_axis:
             raise ValueError(
@@ -165,8 +163,8 @@ def _mc_settings(mc, flags=None) -> tuple[dict, FringeParams]:
     """``MC_DEFAULTS`` updated by an "mc" block (None is an empty one), then
     by the ``flags`` that are not None: the settings, checked by type and
     by the bench's ranges, and their ``FringeParams``."""
-    if not (mc is None or isinstance(mc, dict) and mc.keys() <= MC_KEYS):
-        raise ValueError(f"mc must be an object with keys {sorted(MC_KEYS)}, got {mc!r}")
+    if not (mc is None or isinstance(mc, dict) and mc.keys() <= MC_DEFAULTS.keys()):
+        raise ValueError(f"mc must be an object with keys {sorted(MC_DEFAULTS)}, got {mc!r}")
     settings = {**MC_DEFAULTS, **(mc or {})}
     settings.update((key, v) for key, v in (flags or {}).items() if v is not None)
     for key, value in settings.items():

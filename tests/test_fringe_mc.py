@@ -350,6 +350,12 @@ class TestVerifySensitivity:
         with pytest.raises(ValueError, match="phi"):
             verify_sensitivity(make_params(nu=0.9, phi=phi), 1.0, 1000, 0)
 
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+    def test_rejects_fewer_than_three_bins_a_period(self, n_atoms):
+        # ceil(sqrt(N)) <= 2 bins a period: the projection is not the fit
+        with pytest.raises(ValueError, match=r"^n_atoms must be >= 5, got "):
+            verify_sensitivity(make_params(nu=0.9, n_atoms=n_atoms), 1.0, 1000, 1)
+
     @pytest.mark.parametrize("phi", [math.pi, -math.pi])
     def test_accepts_phi_at_pi(self, phi):
         res = verify_sensitivity(make_params(nu=0.9, phi=phi, n_atoms=300), 1.0, 1000, 3)

@@ -270,6 +270,18 @@ class TestGroundStates:
             assert energies[k] == energy
             assert np.array_equal(vectors[:, k], state.coeffs)
 
+    @pytest.mark.parametrize("n", [40, 41, 1000])
+    @pytest.mark.parametrize("lam", [-1.2, 0.5])
+    def test_mixed_tilt_columns_are_ground_state(self, n, lam):
+        # zero-tilt columns are renormalized and tilted ones divided by
+        # exactly 1.0 in the same division: each is its one-column solve
+        tilts = [0.0, 0.03, 0.0, -0.03]
+        energies, vectors = ground_states(n, lam, tilts)
+        for k, delta in enumerate(tilts):
+            energy, state = ground_state(ModelParams(n, lam, delta))
+            assert energies[k] == energy
+            assert np.array_equal(vectors[:, k], state.coeffs)
+
     @pytest.mark.parametrize("corrupt", [1, 3, 5])
     def test_residual_checked_against_own_hamiltonian(self, monkeypatch, corrupt):
         # shift one column's energy by twice the residual bound of its own H;
@@ -753,13 +765,13 @@ class TestWindowMemory:
 
     def test_ground_scan_holds_one_diagonal_block(self):
         # a warm 8-lambda block at large N holds one (block x N) diagonal
-        # array; with the vectors and the checks' temporaries it peaks near
-        # 6.3 such arrays
+        # array and the vectors; the residual's temporaries lift it to about
+        # 4.3 such arrays, and the renormalization divides in place
         n, lams = 250_000, np.linspace(-1.3, 2.0, 8)
         _ladder(n)  # cached, as every block after a scan's first finds it
         ground_state(ModelParams(20, 0.5))  # scipy loaded first
         _, peak, _ = traced(lambda: ground_states(n, lams, 0.0))
-        assert peak < 6.8 * 8 * (n + 1) * 8
+        assert peak < 4.8 * 8 * (n + 1) * 8
 
 
 def run_fresh(code: str) -> str:

@@ -41,7 +41,6 @@ from bellfringe.scan import (
     GROUND_BLOCK,
     MC_DEFAULTS,
     MODE_AXIS,
-    MODES,
     _ground_moments,
     make_evaluator,
     rows_to_csv,
@@ -921,6 +920,8 @@ class TestCli:
             ({"nu": 0.98}, 1),
             ({"xi2": -1}, 1),
             ({"nu": "abc"}, 1),
+            ({"n_atoms": 4, "n_shots": 1000}, 1),
+            ({"n_atoms": 5, "n_shots": 1000}, 0),
         ],
     )
     def test_scan_and_mc_verify_refuse_the_same_mc_blocks(self, tmp_path, mc, code):
@@ -1029,6 +1030,15 @@ print(seen)
         assert cli_main(["scan", "--config", cfg, "--out", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         assert err.count("configuration error: phi must lie in [-pi, pi]") == 2 * code
+
+    @pytest.mark.parametrize("n_atoms, code", [("1", 1), ("4", 1), ("5", 0)])
+    def test_mc_verify_needs_three_bins_a_period(self, capsys, n_atoms, code):
+        # at N <= 4 a period holds ceil(sqrt(N)) <= 2 bins, where the
+        # projection is not the least-squares fit: --n-atoms 1 read ratio 0
+        argv = ["mc-verify", "--n-atoms", n_atoms, "--n-shots", "1000", "--seed", "1"]
+        assert cli_main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count(f"configuration error: n_atoms must be >= 5, got {n_atoms}") == code
 
     @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
     def test_analytics_refuses_a_non_finite_lambda(self, capsys, lam):
@@ -1201,7 +1211,7 @@ BAD_VALUES = {
 def scan_configs(draw):
     """``(config, rows)``: a valid scan config and the row count it must
     give, or a config with one bad field and ``rows`` None."""
-    mode = draw(st.sampled_from(MODES))
+    mode = draw(st.sampled_from(list(MODE_AXIS)))
     axis = MODE_AXIS[mode]
 
     def grid(values):

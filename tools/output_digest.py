@@ -240,6 +240,9 @@ CASES = (
     ("mc-verify-flag-over-config", ["mc-verify", "--nu", "0.5", "--seed", "3"], MC_BLOCK),
     ("mc-verify-three-periods", ["mc-verify", "--nu", "0.5", "--seed", "3"],
      MC_THREE_PERIODS),
+    # a period of ceil(sqrt(4)) = 2 bins, too few for the fit: exit 1
+    ("mc-verify-four-atoms", ["mc-verify", "--nu", "0.9", "--xi2", "1", "--n-atoms", "4",
+                              "--n-shots", "1000", "--seed", "1"], None),
     ("analytics", ["analytics", "--lam", "-1.3", "--lam", "-0.9", "--lam", "0.0",
                    "--lam", "8.0"], None),
     ("analytics-non-finite", ["analytics", "--lam", "nan", "--lam", "inf"], None),
