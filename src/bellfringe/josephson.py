@@ -5,16 +5,13 @@ its diagonal holds the interaction and tilt terms and its off-diagonal the
 (negated) Jx ladder elements.  Energies are in units of the Josephson
 tunneling energy E_J, temperatures in units of E_J / k_B.
 
-Thermal averages need only the K levels a temperature T occupies, those
-within -ln(THERMAL_WEIGHT_CUTOFF) T of ``ground_state``'s certified level:
-``low_spectrum`` solves that window, the one rule for them, and keeps K columns.
-
-A ground state fills only some sqrt(N) rows about its mean-field well, so
-``ground_states`` solves each H on its support: rows that a WKB estimate
-from H alone seeds, grown until both end components are within SUPPORT_RTOL
-of the peak.  By interlacing the truncated level lies above the lowest of H;
-a Sturm count on the whole H must find no level RESIDUAL_TOL |H| below it
-(Parlett, The Symmetric Eigenvalue Problem, SIAM 1998), else H is solved whole.
+A ground state fills some sqrt(N) rows about its mean-field well, and the K
+levels a temperature T occupies (``low_spectrum``) the rows allowed below
+their top, so ``_support_pairs`` solves them on rows H alone seeds, grown
+until every vector ends within SUPPORT_RTOL of its peak.  By interlacing a
+truncated level lies above its level of H: a Sturm count on the whole H must
+find the levels solved (Parlett, The Symmetric Eigenvalue Problem, SIAM
+1998), else H is solved whole.
 
 The LAPACK entry points ``eigh_tridiagonal``, ``dstebz`` and ``dstein`` are
 module attributes bound at the first eigensolve, so an import loads no scipy.
@@ -58,7 +55,7 @@ ORTHO_TOL = 1e-8
 # magnitude (see _fix_signs).
 SIGN_TIE_RTOL = 1e-8
 
-# Ground solves on a row range (see _ground_pair and _support).
+# Ground and window solves on a row range (see _support_pairs and _support).
 SUPPORT_RTOL = 1e-17
 SUPPORT_PAD = 16
 SCALE_EXP = 500
@@ -226,7 +223,6 @@ def _lowest_pair(diag: np.ndarray, offdiag: np.ndarray):
     """Lowest eigenpair ``(w, v)``, shapes (1,) and (n, 1), of a symmetric
     tridiagonal matrix, for ``_ground_pair``: eigh_tridiagonal's calls (stebz
     by index, il = iu = 1, tol 0, block order; stein) and bits."""
-    _load_lapack()
     if len(diag) == 1:
         return diag.copy(), np.ones((1, 1))
     m, w, iblock, isplit, info = dstebz(diag, offdiag, 2, 0.0, 1.0, 1, 1, 0.0, "B")
@@ -237,67 +233,74 @@ def _lowest_pair(diag: np.ndarray, offdiag: np.ndarray):
     return w[:m], v
 
 
-def _support(diag: np.ndarray, offdiag: np.ndarray) -> tuple[int, int]:
-    """Seed rows ``[lo, hi)`` of the lowest eigenvector of a tridiagonal H with
-    negative ``offdiag``, from H alone.  The local energy d_i - s_i, s_i =
-    2 min(|e_(i-1)|, |e_i|), is least at row c (for the junction: the
-    mean-field well).  Elsewhere psi decays by exp(-kappa_i) per row, cosh
-    kappa_i = (d_i - d_c + s_c) / s_i (discrete WKB), and the seed ends where
-    the sum of kappa from c reaches -ln SUPPORT_RTOL, plus SUPPORT_PAD rows:
-    near c a Gaussian, also along an anharmonic flank or into a second well."""
+def _support(diag: np.ndarray, offdiag: np.ndarray, top=-math.inf) -> tuple[int, int]:
+    """Seed rows ``[lo, hi)`` of the eigenvectors of a tridiagonal H with
+    negative ``offdiag`` up to level ``top``, else of the lowest, from H alone:
+    the rows [a, b] where the local energy d_i - s_i, s_i = 2 min(|e_(i-1)|,
+    |e_i|), is at most E = ``top`` (a mean-field well, or two), else its least
+    row c, then the rows on to where the sum of kappa_i reaches -ln
+    SUPPORT_RTOL, plus SUPPORT_PAD: psi decays by exp(-kappa_i) per row, cosh
+    kappa_i = (d_i - E) / s_i (discrete WKB), also along an anharmonic flank."""
     e = np.concatenate(([0.0], -offdiag, [0.0]))
     s = 2.0 * np.minimum(e[:-1], e[1:])
     local = diag - s
     c = int(local.argmin())
-    with np.errstate(all="ignore"):  # 0 / 0 at an end row c reads as kappa 0
-        kappa = np.arccosh(np.fmax((diag - local[c]) / s, 1.0))
+    top = max(top, local[c])
+    a, b = np.flatnonzero(local <= top)[[0, -1]] if top > local[c] else (c, c)
+    with np.errstate(all="ignore"):  # 0 / 0 at an end row reads as kappa 0
+        kappa = np.arccosh(np.fmax((diag - top) / s, 1.0))
     action = -math.log(SUPPORT_RTOL)
-    lo = c - int(np.searchsorted(np.cumsum(kappa[c::-1]), action)) - SUPPORT_PAD
-    hi = c + int(np.searchsorted(np.cumsum(kappa[c:]), action)) + SUPPORT_PAD + 1
+    lo = a - int(np.searchsorted(np.cumsum(kappa[a::-1]), action)) - SUPPORT_PAD
+    hi = b + int(np.searchsorted(np.cumsum(kappa[b:]), action)) + SUPPORT_PAD + 1
     return max(lo, 0), min(hi, len(diag))
 
 
-def _ground_pair(diag: np.ndarray, offdiag: np.ndarray, norm: float):
-    """Lowest eigenpair ``(w, v)`` of one tridiagonal H with |H| <= ``norm``,
-    solved on the rows of ``_support``, each side grown by the range's width
-    while its end component exceeds SUPPORT_RTOL of the peak, zero-padded.
-    If a Sturm count (stebz by value) on the whole H finds a level below
-    w - RESIDUAL_TOL |H|, the whole H is solved.  Above |H| = 2^SCALE_EXP
-    LAPACK gets H times an exact power of two: stein overflows on |H|^2."""
-    (lo, hi), n = _support(diag, offdiag), len(diag)
-    scale = 2.0 ** min(0, SCALE_EXP - math.frexp(norm)[1])
+def _support_pairs(diag: np.ndarray, offdiag: np.ndarray, norm: float, select=None):
+    """Eigenpairs ``(w, v)`` of one tridiagonal H with |H| <= ``norm``: those
+    in ``select`` = (bottom, top] (stemr by value), else the lowest pair, on the
+    ``_support`` rows, each side grown by the range's width while an end
+    component exceeds SUPPORT_RTOL of its column's peak, zero-padded.  A Sturm
+    count on the whole H (stebz, tol 4|H|: it bisects no level) must find len(w)
+    levels in (bottom, top], or none in (-2|H|, w_0 - RESIDUAL_TOL |H|], else H
+    is solved whole.  Above |H| = 2^SCALE_EXP, where stein overflows on |H|^2,
+    LAPACK gets H times an exact power of two."""
+    _load_lapack()
+    lo, hi = _support(diag, offdiag) if select is None else _support(diag, offdiag, select[1])
+    n, scale = len(diag), 2.0 ** min(0, SCALE_EXP - math.frexp(norm)[1])
     if scale < 1.0:
         diag, offdiag, norm = diag * scale, offdiag * scale, norm * scale
+        select = select and (select[0] * scale, select[1] * scale)
+    solve = _lowest_pair if select is None else functools.partial(
+        eigh_tridiagonal, select="v", select_range=select, lapack_driver="stemr"
+    )
     while True:
-        w, v = _lowest_pair(diag[lo:hi], offdiag[lo:hi - 1])
-        tol = SUPPORT_RTOL * np.abs(v).max()
-        low, high = lo > 0 and abs(v[0, 0]) > tol, hi < n and abs(v[-1, 0]) > tol
+        w, v = solve(diag[lo:hi], offdiag[lo:hi - 1])
+        tol = SUPPORT_RTOL * np.abs(v).max(axis=0)
+        low, high = lo > 0 and (np.abs(v[0]) > tol).any(), hi < n and (np.abs(v[-1]) > tol).any()
         if not (low or high):
             break
         lo, hi = max(lo - low * (hi - lo), 0), min(hi + high * (hi - lo), n)
-    below = w[0] - RESIDUAL_TOL * norm  # count the levels in (-2|H|, below]
-    if hi - lo < n and dstebz(diag, offdiag, 1, -2.0 * norm, below, 0, 0, 0.0, "B")[0]:
-        (w, v), lo, hi = _lowest_pair(diag, offdiag), 0, n
-    padded = np.zeros((n, 1))
+    bottom, top, want = (*select, len(w)) if select else (-2 * norm, w[0] - RESIDUAL_TOL * norm, 0)
+    if hi - lo < n and dstebz(diag, offdiag, 1, bottom, top, 0, 0, 4.0 * norm, "B")[0] != want:
+        (w, v), lo, hi = solve(diag, offdiag), 0, n
+    v = v.copy(order="F")  # a window's K columns: LAPACK's (m, m) array is freed before padding
+    padded = np.zeros((n, v.shape[1]))
     padded[lo:hi] = v
     return w / scale, padded
 
 
-def _solve(h: SymTridiag, zero_tilt: bool, **select) -> tuple[np.ndarray, np.ndarray]:
-    """Checked, sign-fixed eigenpairs of ``h`` in the ``select`` range.
+# the K = 1 case, shapes (1,) and (n, 1), under its own name: ground solves, not windows, call it
+_ground_pair = _support_pairs
 
-    At ``zero_tilt`` the two ``_fold`` blocks are solved alone and unfolded
-    into one ascending window, freeing them before it is checked against the
-    full H and its columns are renormalized.
-    """
-    def window(diag, offdiag):  # a partial set is copied out of LAPACK's (n, n) array
-        w, v = eigh_tridiagonal(diag, offdiag, **select)
-        return w, (v.copy(order="F") if v.shape[1] < len(v) else v)
-    _load_lapack()
+
+def _solve(h: SymTridiag, zero_tilt: bool, solve) -> tuple[np.ndarray, np.ndarray]:
+    """Checked, sign-fixed eigenpairs of ``h`` that ``solve(diag, offdiag)``
+    finds; at ``zero_tilt`` each ``_fold`` block alone, unfolded into one ascending
+    window and freed before it is checked against the full H and renormalized."""
     try:
         if not zero_tilt:
-            return _checked(h, *window(h.diag, h.offdiag), False)
-        (w_even, even), (w_odd, odd) = [window(*block) for block in _fold(h)]
+            return _checked(h, *solve(h.diag, h.offdiag), False)
+        (w_even, even), (w_odd, odd) = [solve(*block) for block in _fold(h)]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - backend failure
         raise ConvergenceError(str(exc)) from exc
     energies = np.concatenate((w_even, w_odd))
@@ -314,13 +317,11 @@ def ground_states(n_particles: int, lam, tilts) -> tuple[np.ndarray, np.ndarray]
     per element of ``lam`` and ``tilts`` broadcast together (1-D).
 
     Each diagonal is ``build_hamiltonian``'s for (lam, delta), bit for bit.
-    ``_ground_pair`` solves it, or at zero tilt only the even ``_fold``
-    block of it (the Perron-Frobenius ground state is even), on its
-    support: rows seeded from that H alone (so a column has the same bits in
-    any block), grown until both end components are within SUPPORT_RTOL of
-    the peak, and certified by a Sturm count on the whole H or block.  The
-    block gets one finiteness check, one residual check (each column against
-    its own full |H|), one norm check and one ``_fix_signs`` call.
+    ``_ground_pair`` solves it, or at zero tilt only the even ``_fold`` block
+    of it (the Perron-Frobenius ground state is even), on its support, which
+    H alone seeds: a column has the same bits in any block.  The block gets
+    one finiteness check, one residual check (each column against its own
+    full |H|), one norm check and one ``_fix_signs`` call.
     """
     lams, tilts = np.broadcast_arrays(np.asarray(lam, dtype=float), np.asarray(tilts, dtype=float))
     m, c = _ladder(n_particles)[:2]
@@ -367,7 +368,8 @@ def full_spectrum(params: ModelParams) -> Spectrum:
             f"n_particles={params.n_particles} exceeds full-spectrum cap"
             f" {FULL_SPECTRUM_CAP}"
         )
-    energies, vectors = _solve(build_hamiltonian(params), params.delta == 0)
+    _load_lapack()  # binds eigh_tridiagonal
+    energies, vectors = _solve(build_hamiltonian(params), params.delta == 0, eigh_tridiagonal)
     return Spectrum(params, energies, tuple(SpinState(v) for v in vectors.T))
 
 
@@ -375,25 +377,24 @@ def low_spectrum(params: ModelParams, temperature: float):
     """Eigenpairs with E - E0 <= -ln(THERMAL_WEIGHT_CUTOFF) T, the levels
     occupied at a finite T = ``temperature`` >= 0, ascending in energy.
 
-    Only the window is diagonalized (MRRR, LAPACK ``stemr``), so the residual
-    and orthonormality checks cost O(N K^2) for K kept states instead of
-    O(N^3); every kept vector follows the sign convention of ``_fix_signs``.
-    E0 is ``ground_state``'s certified level, and at zero tilt the window is
-    solved on each parity block.  Returns ``(energies, vectors)`` with the
-    states as columns.
+    E0 is ``ground_state``'s certified level.  Only the window is solved
+    (MRRR, LAPACK ``stemr``), at zero tilt on each parity block, on its support
+    (``_support_pairs``), and checked against the whole H in O(N K^2) for K kept
+    states, signs by ``_fix_signs``.  Returns ``(energies, vectors)``, states as columns.
     """
     if not 0 <= temperature < math.inf:  # NaN fails too
         raise ValueError(f"low_spectrum needs a finite temperature >= 0, got {temperature}")
-    window = -math.log(THERMAL_WEIGHT_CUTOFF) * temperature
-    e0 = ground_state(params)[0]  # refuses an overflowed H
+    return _low_spectrum_at(params, temperature, ground_state(params)[0])  # refuses an overflowed H
+
+
+def _low_spectrum_at(params: ModelParams, temperature: float, e0: float):
+    """``low_spectrum`` at E0 = ``e0``, ``ground_state``'s level, from any block."""
     h = build_hamiltonian(params)
     # E0's Sturm count certified nothing RESIDUAL_TOL |H| below it (Perron-Frobenius
     # puts the odd block no lower): the margin keeps it inside even a zero-width window
     margin = RESIDUAL_TOL * h.norm_estimate
-    return _solve(
-        h, params.delta == 0, select="v", select_range=(e0 - margin, e0 + window + margin),
-        lapack_driver="stemr",
-    )
+    select = (e0 - margin, e0 - math.log(THERMAL_WEIGHT_CUTOFF) * temperature + margin)
+    return _solve(h, params.delta == 0, lambda d, e: _support_pairs(d, e, h.norm_estimate, select))
 
 
 def boltzmann_weights(energies: np.ndarray, temperature: float) -> np.ndarray:

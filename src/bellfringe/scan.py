@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .fringe_mc import FringeParams, _require_bench_ranges
-from .josephson import ModelParams, boltzmann_weights, ground_states, low_spectrum
+from .josephson import ModelParams, _low_spectrum_at, boltzmann_weights, ground_states
 from .noise import _settled, blur_visibility, delta_column_moments
 from .spin_core import Moments, SpinState, _is_integer, compute_moments, moment_table
 from .spin_core import rotate_pi2_about_x
@@ -200,8 +200,8 @@ def _expand_grid(grid):
     return grid  # ScanSpec makes every value a float
 
 
-def _thermal_table(params: ModelParams, temperature: float, cache_dir: str = None):
-    """Energies and K x 6 moment table of the levels occupied at T.
+def _thermal_table(params: ModelParams, temperature: float, cache_dir: str, e0: float):
+    """Energies and K x 6 moment table of the levels T occupies above ``_settled(e0)``.
 
     With ``cache_dir``, the table is stored there as the sha256 of
     ``repr((params, temperature))`` plus ".npz", and served only to that
@@ -214,7 +214,7 @@ def _thermal_table(params: ModelParams, temperature: float, cache_dir: str = Non
     if path and os.path.exists(path):
         with np.load(path) as data:
             return data["energies"], data["table"]
-    energies, vectors = low_spectrum(params, temperature)
+    energies, vectors = _low_spectrum_at(params, temperature, _settled(e0))
     table = moment_table(vectors)
     if path:
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -238,24 +238,24 @@ def _error_row(lam, noise_value, rotate, error) -> ScanRow:
 
 
 def _ground_moments(n_particles: int, lams, block: int = GROUND_BLOCK) -> list:
-    """Per lambda, its ground-state Moments or the exception its solve ended in:
-    ``block`` lambdas per ``ground_states`` call, a failed block again one by
-    one, moments per column (a block's ``moment_table`` rounds by its width)."""
+    """Per lambda, its ground level and Moments, both the exception its solve ended
+    in if it failed: ``block`` lambdas per ``ground_states`` call, a failed block
+    again one by one, moments per column (``moment_table`` rounds by width)."""
     found = []
     for lo in range(0, len(lams), block):
         part = lams[lo:lo + block]
         try:
-            vectors = ground_states(n_particles, part, 0.0)[1]
-            found += [compute_moments(SpinState(v)) for v in vectors.T]
+            energies, vectors = ground_states(n_particles, part, 0.0)
+            found += [(e0, compute_moments(SpinState(v))) for e0, v in zip(energies, vectors.T)]
         except Exception as exc:
-            found += [exc] if len(part) == 1 else _ground_moments(n_particles, part, 1)
+            found += [(exc, exc)] if len(part) == 1 else _ground_moments(n_particles, part, 1)
     return found
 
 
-def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache_dir, ground) -> list:
+def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache_dir, ground, e0) -> list:
     """The moments of one lambda column at each value of the spec's noise
     grid, in order: each the Moments or the exception its solve ended in.
-    Zero noise, and level 0 of a thermal table, read ``ground``."""
+    Zero noise, and level 0 of a thermal table, read ``ground``, its level ``e0``."""
     n, grid = spec.n_particles, spec.noise_grid
     if spec.mode == "blurred":
         # blur rescales nu only; the unblurred report must hold for the column
@@ -267,7 +267,7 @@ def _column_moments(spec: ScanSpec, lam: float, rotate: bool, cache_dir, ground)
     if positive and spec.mode == "delta_mixture":  # one tilt grid for the whole column
         found.update(zip(positive, delta_column_moments(n, lam, positive)))
     elif positive:
-        energies, table = _thermal_table(ModelParams(n, lam, 0.0), positive[-1], cache_dir)
+        energies, table = _thermal_table(ModelParams(n, lam, 0.0), positive[-1], cache_dir, e0)
         table[0] = astuple(_settled(ground))  # in memory: the cached file keeps its row
         found.update((t, Moments(*(boltzmann_weights(energies, t) @ table))) for t in positive)
     return [found[v] for v in grid]
@@ -277,12 +277,11 @@ def _scan_rows(spec: ScanSpec, lams, cache_dir=None) -> list:
     """Rows of the lambda columns ``lams``, in order: the moments of each
     column at each noise value (ground states of all columns first), then
     the nu floor, blur, rotation and witness report, the same in every mode."""
-    ground = _ground_moments(spec.n_particles, lams)
     rows = []
-    for lam, solved in zip(lams, ground):
+    for lam, (e0, solved) in zip(lams, _ground_moments(spec.n_particles, lams)):
         rotate = spec.rotation == "auto" and lam > 0
         try:
-            column = _column_moments(spec, lam, rotate, cache_dir, solved)
+            column = _column_moments(spec, lam, rotate, cache_dir, solved, e0)
         except Exception as exc:  # fails every row of the column
             column = [exc] * len(spec.noise_grid)
         for value, found in zip(spec.noise_grid, column):

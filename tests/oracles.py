@@ -1,11 +1,14 @@
 """Independent brute-force references: dense complex spin matrices and
 expectation values, a whole-matrix tridiagonal ground state with moments from
-sparse J+- and Jz actions (for N too large to solve densely), a fine
-tanh-sinh tilt mixture, and fringe positions by rejection sampling, kept
-deliberately separate from the library's paths so they can arbitrate them."""
+sparse J+- and Jz actions (for N too large to solve densely), the first
+support ground solve, a fine tanh-sinh tilt mixture, and fringe positions by
+rejection sampling, kept deliberately separate from the library's paths so
+they can arbitrate them."""
+
+import math
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import eigh_tridiagonal, expm, lapack
 
 
 def dense_spin_matrices(n_particles: int):
@@ -58,6 +61,50 @@ def tridiagonal_ground(n_particles: int, lam: float, delta: float):
         select="i", select_range=(0, 1), lapack_driver="stebz",
     )
     return w[0], w[1], v[:, 0]
+
+
+def first_support_ground_pair(diag: np.ndarray, offdiag: np.ndarray, norm: float):
+    """Lowest eigenpair of one tridiagonal H with negative ``offdiag`` and
+    |H| <= ``norm``, as the support solve first computed it: stebz by index and
+    stein on the rows about the least local energy d_i - 2 min(|e_(i-1)|,
+    |e_i|) plus discrete-WKB tails to 1e-17 and 16 rows, each side grown by
+    the range's width while its end component exceeds 1e-17 of the peak; the
+    whole H when a Sturm count finds a level below w - 1e-8 |H|.  Above
+    |H| = 2^500 LAPACK gets H times an exact power of two."""
+
+    def lowest(d, e):
+        if len(d) == 1:
+            return d.copy(), np.ones((1, 1))
+        m, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+        v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
+        assert info == 0
+        return w[:m], v
+
+    n = len(diag)
+    e = np.concatenate(([0.0], -offdiag, [0.0]))
+    s = 2.0 * np.minimum(e[:-1], e[1:])
+    local = diag - s
+    c = int(local.argmin())
+    with np.errstate(all="ignore"):
+        kappa = np.arccosh(np.fmax((diag - local[c]) / s, 1.0))
+    lo = max(c - int(np.searchsorted(np.cumsum(kappa[c::-1]), -math.log(1e-17))) - 16, 0)
+    hi = min(c + int(np.searchsorted(np.cumsum(kappa[c:]), -math.log(1e-17))) + 17, n)
+    scale = 2.0 ** min(0, 500 - math.frexp(norm)[1])
+    if scale < 1.0:
+        diag, offdiag, norm = diag * scale, offdiag * scale, norm * scale
+    while True:
+        w, v = lowest(diag[lo:hi], offdiag[lo:hi - 1])
+        tol = 1e-17 * np.abs(v).max()
+        low, high = lo > 0 and abs(v[0, 0]) > tol, hi < n and abs(v[-1, 0]) > tol
+        if not (low or high):
+            break
+        lo, hi = max(lo - low * (hi - lo), 0), min(hi + high * (hi - lo), n)
+    below = w[0] - 1e-8 * norm
+    if hi - lo < n and lapack.dstebz(diag, offdiag, 1, -2.0 * norm, below, 0, 0, 0.0, "B")[0]:
+        (w, v), lo, hi = lowest(diag, offdiag), 0, n
+    padded = np.zeros((n, 1))
+    padded[lo:hi] = v
+    return w / scale, padded
 
 
 def sparse_moments(n_particles: int, psi: np.ndarray):

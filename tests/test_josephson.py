@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import os
 import subprocess
@@ -41,7 +42,13 @@ from bellfringe.josephson import (
 )
 from bellfringe.spin_core import _ladder
 
-from oracles import dense_hamiltonian, dense_moments, sparse_moments, tridiagonal_ground
+from oracles import (
+    dense_hamiltonian,
+    dense_moments,
+    first_support_ground_pair,
+    sparse_moments,
+    tridiagonal_ground,
+)
 
 # the per-H ground solve (truncated, grown and certified), kept before any
 # test patches it
@@ -428,6 +435,20 @@ class TestSupportSolve:
         ground_states(4000, [0.0, 1.0, 10.0, 0.0, 1.0, 10.0], [0.0] * 3 + [0.02] * 3)
         assert len(sizes) == 6 and max(sizes) < 4001 // 4
 
+    @pytest.mark.parametrize("n", [1, 2, 41, 1000, 4000])
+    def test_one_level_case_is_the_first_support_solve(self, monkeypatch, n):
+        # the ground pair is the K = 1 case of the window routine, with the
+        # rows and bits of the support solve as first written: grown columns
+        # (lam = -1.08 and tiny tilts at N = 1000), ties of the least local
+        # energy (tilt 1e-20) and power-of-two scaled H included
+        lams, tilts = (grid.ravel() for grid in np.meshgrid(
+            SUPPORT_LAMS + (-1.08, 1e160, 1e300), SUPPORT_TILTS + (1e-3,)
+        ))
+        energies, vectors = ground_states(n, lams, tilts)
+        monkeypatch.setattr(josephson, "_ground_pair", first_support_ground_pair)
+        want_e, want_v = ground_states(n, lams, tilts)
+        assert np.array_equal(energies, want_e) and np.array_equal(vectors, want_v)
+
     @pytest.mark.parametrize("n, lam", [(1000, 1e160), (1000, 1e300), (1001, 1e300)])
     def test_huge_lambda_is_the_number_state(self, n, lam):
         # stein overflows on |H|^2 and returned NaN; LAPACK now sees a
@@ -469,6 +490,110 @@ class TestSupportSolve:
         assert len(calls) == 1
         norm = build_hamiltonian(params).norm_estimate
         assert abs(energies[0] - ground_state(params)[0]) <= RESIDUAL_TOL * norm
+
+
+WINDOW_LAMS = tuple(np.linspace(-2.0, 8.0, 7))
+
+
+def full_row_window(monkeypatch, params, temperature, e0):
+    """The window of ``params`` at ``temperature`` solved on every row of each
+    block, as before the support solve, and ``_support`` restored."""
+    with monkeypatch.context() as patch:
+        patch.setattr(josephson, "_support", lambda diag, offdiag, top: (0, len(diag)))
+        return josephson._low_spectrum_at(params, temperature, e0)
+
+
+def recorded_windows(monkeypatch) -> list:
+    """Patches the window solver to record the rows of every solve."""
+    sizes = []
+
+    def recording(diag, *args, **kwargs):
+        sizes.append(len(diag))
+        return eigh_tridiagonal(diag, *args, **kwargs)
+
+    monkeypatch.setattr(josephson, "eigh_tridiagonal", recording)
+    return sizes
+
+
+def assert_same_window(got, want, norm):
+    """Same K, energies within 1e-13 |H| and the same kept subspace."""
+    (energies, vectors), (want_e, want_v) = got, want
+    assert len(energies) == len(want_e)
+    assert np.abs(energies - want_e).max() <= 1e-13 * norm
+    # each kept vector lies in the other window's span, to rounding over the gaps
+    resid = vectors - want_v @ (want_v.T @ vectors)
+    assert np.sqrt((resid * resid).sum(axis=0)).max() <= 1e-10
+
+
+class TestSupportWindow:
+    """Thermal windows solved on their support, grown and certified by one
+    Sturm count on the whole block."""
+
+    @pytest.mark.parametrize("n", [40, 41, 200, 1000, 2000])
+    def test_window_is_the_full_row_window(self, monkeypatch, n):
+        for lam, delta, t in itertools.product(WINDOW_LAMS, (0.0, 0.05), (0.3, 2.0, 3.3)):
+            params = ModelParams(n, lam, delta)
+            e0, norm = ground_state(params)[0], build_hamiltonian(params).norm_estimate
+            got = josephson._low_spectrum_at(params, t, e0)
+            assert_same_window(got, full_row_window(monkeypatch, params, t, e0), norm)
+
+    @pytest.mark.parametrize("lam, delta", [(2.0, 0.0), (8.0, 0.0), (2.0, 0.05)])
+    def test_window_solves_under_half_the_rows(self, monkeypatch, lam, delta):
+        params = ModelParams(4000, lam, delta)
+        e0 = ground_state(params)[0]
+        sizes = recorded_windows(monkeypatch)
+        energies, _ = josephson._low_spectrum_at(params, 0.5, e0)
+        blocks = 2 if delta == 0 else 1
+        assert len(sizes) == blocks and max(sizes) < 4001 / blocks / 2 and len(energies) > 1
+
+    @pytest.mark.parametrize("lam, delta", [(2.0, 0.0), (8.0, 0.05), (-0.9, 0.05)])
+    def test_narrow_seed_grows(self, monkeypatch, lam, delta):
+        params, t = ModelParams(1000, lam, delta), 2.0
+        e0, norm = ground_state(params)[0], build_hamiltonian(params).norm_estimate
+        want = full_row_window(monkeypatch, params, t, e0)
+
+        def narrow(diag, offdiag, top):
+            mid = sum(support(diag, offdiag, top)) // 2
+            return mid - 10, mid + 10
+
+        monkeypatch.setattr(josephson, "_support", narrow)
+        sizes = recorded_windows(monkeypatch)
+        got = josephson._low_spectrum_at(params, t, e0)
+        assert sizes[0] == 20 and sizes[1] == 60  # grown by the width on both sides
+        assert_same_window(got, want, norm)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05])
+    def test_failed_certificate_solves_the_whole_block(self, monkeypatch, delta):
+        params, t = ModelParams(1000, 5.0, delta), 0.5
+        e0 = ground_state(params)[0]
+        want = full_row_window(monkeypatch, params, t, e0)
+        dstebz = josephson.dstebz
+
+        def miscount(*args):
+            m, *rest = dstebz(*args)
+            return (m + 1, *rest)
+
+        monkeypatch.setattr(josephson, "dstebz", miscount)
+        sizes = recorded_windows(monkeypatch)
+        got = josephson._low_spectrum_at(params, t, e0)
+        blocks = [501, 500] if delta == 0 else [1001]
+        assert sizes[1::2] == blocks and max(sizes[::2]) < 500  # support, then whole
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_window_seeds_both_wells(self, monkeypatch):
+        # at lam = -1.2 and a small tilt, levels of both wells lie in the
+        # window, below the barrier between them: the seed spans both wells,
+        # so one solve on part of the rows needs no growth and no fallback
+        params, t = ModelParams(1000, -1.2, 1e-3), 0.3
+        e0, norm = ground_state(params)[0], build_hamiltonian(params).norm_estimate
+        want = full_row_window(monkeypatch, params, t, e0)
+        sizes = recorded_windows(monkeypatch)
+        got = josephson._low_spectrum_at(params, t, e0)
+        assert len(sizes) == 1 and sizes[0] < 1001
+        vectors = np.abs(got[1])
+        left, right = vectors[:500].max(axis=0) > 1e-3, vectors[501:].max(axis=0) > 1e-3
+        assert (left & ~right).any() and (right & ~left).any()  # states of each well alone
+        assert_same_window(got, want, norm)
 
 
 class TestFullSpectrum:
@@ -646,7 +771,7 @@ class TestThermalEnsemble:
         spec = full_spectrum(params)
         want = ensemble_moments(StateEnsemble(spec.states, np.full(n + 1, 1.0 / (n + 1))))
         uniform = scan._column_moments(
-            ScanSpec(n, (lam,), "thermal", "temperature", (math.inf,)), lam, False, None, None
+            ScanSpec(n, (lam,), "thermal", "temperature", (math.inf,)), lam, False, None, None, None
         )[0]
 
         def refuse(*args, **kwargs):

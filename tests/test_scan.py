@@ -300,10 +300,12 @@ class TestRunScan:
         assert at_zero("delta_mixture") == ground
         assert at_zero("thermal") == ground
 
-    @pytest.mark.parametrize("n, lam", [(1000, -1.5), (200, -2.0), (40, -4.0)])
+    @pytest.mark.parametrize("n, lam", [(1000, -1.45), (200, -2.0), (40, -4.0)])
     def test_odd_first_window_keeps_the_ground_row(self, n, lam):
         # the ground doublet is degenerate to rounding, and the T = 0.5 window
-        # sorts its odd member first: level 0 of the table is still the ground row
+        # sorts its odd member first: level 0 of the table is still the ground row.
+        # Which member comes first moves with rounding (at N = 1000 the support
+        # solve puts it first at lam = -1.45, not at -1.5)
         vectors = josephson.low_spectrum(ModelParams(n, lam, 0.0), 0.5)[1]
         assert np.array_equal(vectors[:, 0], -vectors[::-1, 0])
         rows = run_scan(thermal_spec(n, [lam], (0.0, 1e-310, 0.5)))
@@ -322,7 +324,7 @@ class TestRunScan:
         self, tmp_path, monkeypatch, temps
     ):
         solved = []
-        monkeypatch.setattr(scan, "low_spectrum", lambda *args: solved.append(args))
+        monkeypatch.setattr(scan, "_low_spectrum_at", lambda *args: solved.append(args))
         lams = (-0.5, 0.5)
         rows = run_scan(thermal_spec(40, lams, temps), cache_dir=str(tmp_path))
         assert solved == [] and list(tmp_path.iterdir()) == []
@@ -432,13 +434,13 @@ class TestRunScan:
         assert stored() == before
 
     def test_spectrum_cache(self, tmp_path, monkeypatch):
-        solved, low_spectrum = [], scan.low_spectrum
+        solved, low_spectrum_at = [], scan._low_spectrum_at
 
-        def counted(params, temperature):
+        def counted(params, temperature, e0):
             solved.append(params)
-            return low_spectrum(params, temperature)
+            return low_spectrum_at(params, temperature, e0)
 
-        monkeypatch.setattr(scan, "low_spectrum", counted)
+        monkeypatch.setattr(scan, "_low_spectrum_at", counted)
         spec = thermal_spec(40, (-0.5, 0.5), (0.5,))
         cold = run_scan(spec, cache_dir=str(tmp_path))
         assert len(list(tmp_path.glob("*.npz"))) == 2
@@ -452,6 +454,34 @@ class TestRunScan:
         assert ground_dir.is_dir() and list(ground_dir.glob("*.npz")) == []
         assert len(solved) == 2
 
+    @pytest.mark.parametrize("n, lam", [(1000, -1.3), (1000, 0.5), (1001, 8.0)])
+    def test_thermal_scan_solves_each_ground_state_once(self, tmp_path, monkeypatch, n, lam):
+        # the window is anchored at the blocked ground solve's level, cold or
+        # warm: one _ground_pair call per lambda, and the rows low_spectrum
+        # gives, which anchors at its own ground solve
+        spec, calls, solved = thermal_spec(n, [lam], (0.0, 0.5, 2.0)), [], {}
+        with monkeypatch.context() as patch:
+            patch.setattr(scan, "_low_spectrum_at", lambda p, t, e0: josephson.low_spectrum(p, t))
+            want = run_scan(spec)
+        assert not any(row.error for row in want)
+
+        def recording(params, temperature, e0):
+            solved[params] = e0
+            return low_spectrum_at(params, temperature, e0)
+
+        def counting(*args):
+            calls.append(None)
+            return ground_pair(*args)
+
+        low_spectrum_at = scan._low_spectrum_at
+        monkeypatch.setattr(scan, "_low_spectrum_at", recording)
+        monkeypatch.setattr(josephson, "_ground_pair", counting)
+        for _ in ("cold", "warm"):
+            assert run_scan(spec, cache_dir=str(tmp_path)) == want
+            assert len(calls) == 1
+            calls.clear()
+        assert solved == {ModelParams(n, lam, 0.0): ground_state(ModelParams(n, lam, 0.0))[0]}
+
 
 def ground_moments(n, lam):
     return compute_moments(ground_state(ModelParams(n, lam, 0.0))[1])
@@ -463,7 +493,9 @@ class TestGroundBlocks:
     @pytest.mark.parametrize("n", [1, 2, 3, 40, 1001])
     def test_block_moments_are_the_per_lambda_moments(self, n):
         lams = tuple(np.linspace(-1.5, 4.0, 2 * GROUND_BLOCK + 3))
-        assert _ground_moments(n, lams) == [ground_moments(n, lam) for lam in lams]
+        levels = [ground_state(ModelParams(n, lam, 0.0))[0] for lam in lams]
+        moments = [ground_moments(n, lam) for lam in lams]
+        assert _ground_moments(n, lams) == list(zip(levels, moments))
         rows = run_scan(ground_spec(lams, n=n))
         assert rows == [row for lam in lams for row in run_scan(ground_spec([lam], n=n))]
 
@@ -474,9 +506,10 @@ class TestGroundBlocks:
         message = "lam and every tilt must give a finite Hamiltonian"
         with np.errstate(over="ignore"):
             found = _ground_moments(n, lams)
-        assert isinstance(found[3], ValueError) and str(found[3]) == message
+        e0, failed = found[3]  # the level and the moments are both the error
+        assert e0 is failed and isinstance(failed, ValueError) and str(failed) == message
         for k in (0, 1, 2, 4, 5):
-            assert found[k] == ground_moments(n, lams[k])
+            assert found[k][1] == ground_moments(n, lams[k])
         # in a scan grid, which must ascend, it shares the last block
         good = tuple(np.linspace(-1.3, 4.0, GROUND_BLOCK + 3))
         with np.errstate(over="ignore"):
