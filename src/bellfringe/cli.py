@@ -46,29 +46,14 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _load_spec(path: str, no_rotation: bool, seed) -> ScanSpec:
-    data = _load_config(path)
-    if no_rotation:
-        data["rotation"] = "off"
-    if seed is not None:
-        data["seed"] = seed
-    return ScanSpec.from_dict(data)
-
-
 def _add_common(parser):
     parser.add_argument("--config", required=True, help="JSON scan specification")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override spec seed")
     parser.add_argument("--cache", default=None, help="spectrum cache directory")
-    parser.add_argument(
-        "--no-rotation",
-        action="store_true",
-        help="disable the automatic pi/2 pre-rotation for repulsive interactions",
-    )
 
 
 def cmd_scan(args) -> int:
-    spec = _load_spec(args.config, args.no_rotation, args.seed)
+    spec = ScanSpec.from_dict(_load_config(args.config))
     rows = run_scan(spec, cache_dir=args.cache)
     paths = emit_outputs(rows, spec, args.out)
     for path in paths:
@@ -77,7 +62,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_crossings(args) -> int:
-    spec = _load_spec(args.config, args.no_rotation, args.seed)
+    spec = ScanSpec.from_dict(_load_config(args.config))
     evaluate = make_evaluator(spec, column=args.column)  # refuses before the scan
     rows = run_scan(spec, cache_dir=args.cache)
     crossings = find_zero_crossings(rows, args.column, evaluate)
@@ -89,7 +74,7 @@ def cmd_crossings(args) -> int:
 
 
 def cmd_boundary(args) -> int:
-    spec = _load_spec(args.config, args.no_rotation, args.seed)
+    spec = ScanSpec.from_dict(_load_config(args.config))
     rows = run_scan(spec, cache_dir=args.cache)
     boundary = extract_region_boundary(rows)
     text = "".join(f"{lam:.17g},{noise:.17g}\n" for lam, noise in boundary)

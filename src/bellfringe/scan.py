@@ -204,12 +204,12 @@ def _thermal_table(params: ModelParams, temperature: float, cache_dir: str, e0: 
     """Energies and K x 6 moment table of the levels T occupies above ``_settled(e0)``.
 
     With ``cache_dir``, the table is stored there as the sha256 of
-    ``repr((params, temperature))`` plus ".npz", and served only to that
-    key, so a cached scan gives the bytes of an uncached one whatever the
-    directory holds.  Moments are quadratic in the eigenvectors, so the
-    table does not depend on their signs.  A file is written to a temporary
-    name and atomically renamed: concurrent writers cannot corrupt it."""
-    digest = hashlib.sha256(repr((params, temperature)).encode()).hexdigest()
+    ``repr((tag, params, temperature))`` plus ".npz" and served only to that key,
+    so a cached scan gives the bytes of an uncached one whatever the directory
+    holds: a change that moves any bit of a window changes the tag.  Moments,
+    quadratic in the eigenvectors, do not depend on their signs.  A file is written
+    to a temporary name and atomically renamed: concurrent writers cannot corrupt it."""
+    digest = hashlib.sha256(repr(("window-1", params, temperature)).encode()).hexdigest()
     path = os.path.join(cache_dir, f"{digest}.npz") if cache_dir else None
     if path and os.path.exists(path):
         with np.load(path) as data:

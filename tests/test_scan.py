@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -264,6 +265,13 @@ class TestRunScan:
         spec = ground_spec([-1.2, -0.9, -0.3, 0.0, 2.0, 8.0])
         assert run_scan(spec, threads=4) == run_scan(spec, threads=1)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_refuses_a_thread_count_below_one(self, tmp_path, threads):
+        cache = tmp_path / "cache"
+        with pytest.raises(ValueError, match="thread count must be >= 1"):
+            run_scan(ground_spec([0.5]), threads=threads, cache_dir=str(cache))
+        assert not cache.exists()  # refused before the cache directory is made
+
     def test_visibility_floor_row(self):
         # enormous blur kills the fringes; the row reports it, scan continues
         spec = ScanSpec(
@@ -433,6 +441,36 @@ class TestRunScan:
             run_scan(thermal_spec(40, lams, temps), cache_dir=cache)
         assert stored() == before
 
+    def test_a_table_under_an_untagged_key_is_not_served(self, tmp_path):
+        # tables a few ulp off, as an older window gave them, planted under the
+        # key of code that hashed no producer tag, sha256(repr((params, T_max))):
+        # they are not served, and the cached scan writes the uncached bytes
+        spec = thermal_spec(40, (-0.5, 0.5), (0.0, 0.5, 1.0))
+        for lam in spec.lambda_grid:
+            params = ModelParams(40, lam, 0.0)
+            energies, vectors = josephson.low_spectrum(params, 1.0)
+            key = hashlib.sha256(repr((params, 1.0)).encode()).hexdigest()
+            np.savez(tmp_path / f"{key}.npz", energies=energies,
+                     table=bellfringe.moment_table(vectors) * (1 + 1e-12))
+        cached, uncached = tmp_path / "cached", tmp_path / "uncached"
+        emit_outputs(run_scan(spec, cache_dir=str(tmp_path)), spec, str(cached))
+        emit_outputs(run_scan(spec), spec, str(uncached))
+        for name in ("scan.csv", "scan.json"):
+            assert (cached / name).read_bytes() == (uncached / name).read_bytes()
+        assert len(list(tmp_path.glob("*.npz"))) == 4  # the planted two stay
+
+    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
+        # a table that cannot be stored fails its column; the temporary file
+        # is removed and no table is left under the key
+        def refused(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", refused)
+        spec = thermal_spec(40, (-0.5,), (0.0, 0.5))
+        rows = run_scan(spec, cache_dir=str(tmp_path))
+        assert [row.error for row in rows] == ["OSError: disk full"] * 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_spectrum_cache(self, tmp_path, monkeypatch):
         solved, low_spectrum_at = [], scan._low_spectrum_at
 
@@ -578,6 +616,17 @@ class TestCrossingsAndBoundary:
         assert len(calls) == 2 * math.ceil(math.log2(1.0 / CROSSING_TOL))
         assert not {1.0, 4.0} & set(calls)
 
+    def test_exact_zero_at_a_midpoint_is_the_crossing(self):
+        rows = [ScanRow(0.0, 0.0, b_param=-1.0), ScanRow(1.0, 0.0, b_param=1.0)]
+        calls = []
+
+        def evaluate(lam):
+            calls.append(lam)
+            return 0.0
+
+        assert find_zero_crossings(rows, "b_param", evaluate) == [0.5]
+        assert calls == [0.5]  # the bisection stops at the exact zero
+
     def test_finds_witness_threshold(self):
         # large N: b crosses zero near lambda = -3/4
         spec = ground_spec([-0.85, -0.65], n=1000)
@@ -684,6 +733,11 @@ class TestOutputs:
         assert len(lines) == 3
         assert all(len(line.split(",")) == 11 for line in lines)
 
+    def test_csv_writes_an_int_as_str(self):
+        # a hand-built row may hold an int lambda: it is written as str writes it
+        text = rows_to_csv([ScanRow(1, 0.5, error="made, by hand")])
+        assert text.split("\n")[1] == "1,0.5,,,,,,false,false,,made; by hand"
+
     def test_emit_deterministic(self, tmp_path):
         spec = ground_spec([-0.9, 0.0, 3.0])
         rows = run_scan(spec)
@@ -741,23 +795,25 @@ class TestCli:
         assert (tmp_path / "out" / "scan.json").exists()
 
     def test_scan_seed_flag_overrides_the_config_seed(self, tmp_path):
-        cfg = self.write_config(
-            tmp_path, {"n_particles": 40, "lambda_grid": [-0.9, 0.5], "seed": 0}
-        )
-        plain, seeded = tmp_path / "plain", tmp_path / "seeded"
-        assert cli_main(["scan", "--config", cfg, "--out", str(plain)]) == 0
-        assert cli_main(["scan", "--config", cfg, "--out", str(seeded), "--seed", "5"]) == 0
-        for out, seed in ((plain, 0), (seeded, 5)):
+        # the spec's "seed" key is the one way to set it: --seed is refused
+        outs = {}
+        for seed in (0, 5):
+            outs[seed] = out = tmp_path / f"seed{seed}"
+            cfg = self.write_config(
+                tmp_path, {"n_particles": 40, "lambda_grid": [-0.9, 0.5], "seed": seed}
+            )
+            assert cli_main(["scan", "--config", cfg, "--out", str(out)]) == 0
             payload = json.loads((out / "scan.json").read_text())
             assert payload["seed"] == payload["spec"]["seed"] == seed
-        # the seed is recorded only: no row depends on it
-        assert (seeded / "scan.csv").read_bytes() == (plain / "scan.csv").read_bytes()
+        # no row depends on the seed
+        assert (outs[5] / "scan.csv").read_bytes() == (outs[0] / "scan.csv").read_bytes()
 
     def test_scan_no_rotation_flag(self, tmp_path):
-        cfg = self.write_config(tmp_path, {"n_particles": 60, "lambda_grid": [8.0]})
-        cli_main(
-            ["scan", "--config", cfg, "--out", str(tmp_path / "o"), "--no-rotation"]
+        # the spec's "rotation" key is the one way to set it: --no-rotation is refused
+        cfg = self.write_config(
+            tmp_path, {"n_particles": 60, "lambda_grid": [8.0], "rotation": "off"}
         )
+        assert cli_main(["scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         text = (tmp_path / "o" / "scan.csv").read_text()
         assert text.strip().split("\n")[1].split(",")[8] == "false"
 
@@ -1130,6 +1186,9 @@ print(seen)
             {"lambda_grid": {"start": "0", "stop": 1, "num": 3}},
             {"lambda_grid": {"start": 0, "stop": math.inf, "num": 3}},
             {"lambda_grid": {"start": 0, "stop": 1, "num": 3, "step": 1}},
+            {"lambda_grid": []},
+            {"noise_grid": []},
+            {"rotation": "on"},
         ],
         ids=[
             "float_n",
@@ -1158,6 +1217,9 @@ print(seen)
             "string_start",
             "infinite_stop",
             "extra_linspace_key",
+            "empty_lambda_grid",
+            "empty_noise_grid",
+            "unknown_rotation",
         ],
     )
     def test_bad_spec_is_config_error(self, tmp_path, overrides):
@@ -1187,15 +1249,18 @@ print(seen)
 
     def test_thread_count_is_not_a_cli_setting(self, tmp_path, monkeypatch, capsys):
         # the scan runs serially whatever the count, so the CLI takes none:
-        # argparse refuses the flag, and the environment is not read
+        # argparse refuses the flag, and the environment is not read.  The
+        # spec's keys alone set the seed and rotation: no flag aliases them
         cfg = self.write_config(tmp_path, {"n_particles": 40, "lambda_grid": [-0.5, 0.5]})
-        for command in ("scan", "crossings", "boundary"):
-            out = str(tmp_path / command)
-            with pytest.raises(SystemExit) as refused:
-                cli_main([command, "--config", cfg, "--out", out, "--threads", "2"])
-            assert refused.value.code == 2
-            assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
-            assert not os.path.exists(out)
+        for flag in (["--threads", "2"], ["--seed", "5"], ["--no-rotation"]):
+            for command in ("scan", "crossings", "boundary"):
+                out = str(tmp_path / command)
+                with pytest.raises(SystemExit) as refused:
+                    cli_main([command, "--config", cfg, "--out", out, *flag])
+                assert refused.value.code == 2
+                err = capsys.readouterr().err
+                assert f"unrecognized arguments: {' '.join(flag)}" in err
+                assert not os.path.exists(out)
         monkeypatch.delenv("BELLFRINGE_THREADS", raising=False)
         assert cli_main(["scan", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
         monkeypatch.setenv("BELLFRINGE_THREADS", "-3")

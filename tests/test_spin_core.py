@@ -207,6 +207,8 @@ class TestEnsembleMoments:
             StateEnsemble((state, state), np.array([1.5, -0.5]))
         with pytest.raises(ValueError):
             StateEnsemble((), np.array([]))
+        with pytest.raises(ValueError, match="weights do not match states"):
+            StateEnsemble((state, state), np.array([1.0]))
 
 
 class TestRotation:

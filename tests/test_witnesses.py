@@ -196,6 +196,12 @@ class TestWitnessReport:
     def test_rejects_zero_visibility(self):
         with pytest.raises(VisibilityError):
             build_report(1.0, 0.0, 100)
+        # <Jx> = 0: no fringes, and no squeezing parameter either
+        moments = Moments(0.0, 0.0, 0.0, 25.0, 25.0, 0.0)
+        with pytest.raises(VisibilityError, match="undefined for <Jx> = 0"):
+            phase_squeezing(moments, 10)
+        with pytest.raises(VisibilityError, match="nu = 0: no fringes to fit"):
+            report_from_moments(moments, 10)
 
     def test_report_from_moments_rotation(self):
         # repulsive ground state only shows squeezing after the pi/2 rotation

@@ -38,6 +38,7 @@ THERMAL_README = {
     "noise_grid": {"start": 0.0, "stop": 3.0, "num": 13},
 }
 GROUND_N3 = {"n_particles": 3, "lambda_grid": [-1.5, -0.9, 0.0, 0.5, 8.0]}
+GROUND_N3_NO_ROTATION = {**GROUND_N3, "rotation": "off", "seed": 7}
 THERMAL_INF = {
     "n_particles": 40,
     "lambda_grid": [-1.3, -0.9, 0.5, 8.0],
@@ -193,9 +194,12 @@ MC_FULL = {
 CASES = (
     ("scan-ground-readme", ["scan"], GROUND_README),
     ("scan-ground-n3", ["scan"], GROUND_N3),
-    ("scan-ground-n3-no-rotation", ["scan", "--no-rotation", "--seed", "7"], GROUND_N3),
-    # the CLI takes no thread count: argparse refuses the flag with exit 2
+    ("scan-ground-n3-no-rotation", ["scan"], GROUND_N3_NO_ROTATION),
+    # the CLI takes no thread count, and the spec alone sets the rotation and
+    # seed: argparse refuses each flag with exit 2, and no file is written
     ("scan-threads-flag", ["scan", "--threads", "2"], GROUND_N3),
+    ("scan-no-rotation-flag", ["scan", "--no-rotation"], GROUND_N3),
+    ("scan-seed-flag", ["scan", "--seed", "7"], GROUND_N3),
     ("scan-ground-blocks-odd-n", ["scan"], GROUND_BLOCKS_ODD),
     ("scan-ground-n4000", ["scan"], GROUND_N4000),
     ("scan-ground-huge-lambda", ["scan"], GROUND_HUGE),
