@@ -49,7 +49,7 @@ def _load_config(path: str) -> dict:
 def _add_common(parser):
     parser.add_argument("--config", required=True, help="JSON scan specification")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--cache", default=None, help="spectrum cache directory")
+    parser.add_argument("--cache", default=None, help="directory of cached thermal moment tables")
 
 
 def cmd_scan(args) -> int:

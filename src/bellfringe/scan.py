@@ -8,15 +8,17 @@ and every zero noise value, the ground row (blurred also checks its
 unblurred report); delta_mixture, the quadrature mixtures of its positive
 sigma_delta on one tilt grid; thermal, Boltzmann averages of a K x 6 moment
 table of the levels the largest positive finite T occupies, solved once or
-read from a cache directory that serves a table only to its exact key, with
-level 0 read from the ground row (T = inf is the uniform mixture).  One row
-path then probes the visibility floor (after any blur), rotates, forms
-(xi^2, nu) and builds the witness report.  A failure at one point becomes an
-error row; a failed column solve fails the column.
+read from a cache directory keyed by the package source, N, lambda and that
+T, with level 0 read from the ground row (T = inf is the uniform mixture).
+One row path then probes the visibility floor (after any blur), rotates,
+forms (xi^2, nu) and builds the witness report.  A failure at one point
+becomes an error row; a failed column solve fails the column.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -24,6 +26,7 @@ import numbers
 import os
 import tempfile
 from dataclasses import asdict, astuple, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -59,6 +62,8 @@ GROUND_BLOCK = 8  # lambdas per ground_states call; peak memory grows with it
 FLOOR_ERROR = "visibility below threshold"
 # bisection stops once the bracket on lambda is this narrow
 CROSSING_TOL = 1e-4
+_source_digest = functools.cache(lambda: hashlib.sha256(b"".join(  # read once per process
+    f.read_bytes() for f in sorted(Path(__file__).parent.glob("*.py")))).hexdigest())
 
 # the ScanRow fields a WitnessReport supplies
 ROW_FIELDS = (
@@ -203,26 +208,23 @@ def _expand_grid(grid):
 def _thermal_table(params: ModelParams, temperature: float, cache_dir: str, e0: float):
     """Energies and K x 6 moment table of the levels T occupies above ``_settled(e0)``.
 
-    With ``cache_dir``, the table is stored there as the sha256 of
-    ``repr((tag, params, temperature))`` plus ".npz" and served only to that key,
-    so a cached scan gives the bytes of an uncached one whatever the directory
-    holds: a change that moves any bit of a window changes the tag.  Moments,
-    quadratic in the eigenvectors, do not depend on their signs.  A file is written
-    to a temporary name and atomically renamed: concurrent writers cannot corrupt it."""
-    digest = hashlib.sha256(repr(("window-1", params, temperature)).encode()).hexdigest()
+    With ``cache_dir``, it is stored there as the sha256 of ``repr((_source_digest(),
+    params, temperature))`` plus ".npz" and served only to that key, so a cached scan
+    gives an uncached scan's bytes whatever the directory holds: an edit to the package
+    retires every table, and a file that does not load is solved and atomically rewritten.
+    Moments, quadratic in the eigenvectors, do not depend on their signs."""
+    digest = hashlib.sha256(repr((_source_digest(), params, temperature)).encode()).hexdigest()
     path = os.path.join(cache_dir, f"{digest}.npz") if cache_dir else None
-    if path and os.path.exists(path):
-        with np.load(path) as data:
+    if path:  # a file that is missing or does not load is a miss
+        with contextlib.suppress(Exception), np.load(path) as data:
             return data["energies"], data["table"]
     energies, vectors = _low_spectrum_at(params, temperature, _settled(e0))
     table = moment_table(vectors)
     if path:
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp.npz")
         try:
-            # write through the descriptor: np.savez would append ".npz" to a
-            # bare filename and break the atomic rename
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, energies=energies, table=table)
+            os.close(fd)  # np.savez writes by name and keeps a name ending in ".npz"
+            np.savez(tmp, energies=energies, table=table)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

@@ -471,6 +471,46 @@ class TestRunScan:
         assert [row.error for row in rows] == ["OSError: disk full"] * 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_table_that_does_not_load_is_solved_and_rewritten(self, tmp_path, monkeypatch):
+        # a truncated file under the exact key is a miss: the column is solved
+        # as if uncached, the file is rewritten, and a warm rerun reads it
+        spec = thermal_spec(40, (0.5,), (0.0, 1.0))
+        run_scan(spec, cache_dir=str(tmp_path))
+        [table] = tmp_path.glob("*.npz")
+        table.write_bytes(b"PK\x03\x04 truncated")
+        cached, uncached = tmp_path / "cached", tmp_path / "uncached"
+        emit_outputs(run_scan(spec, cache_dir=str(tmp_path)), spec, str(cached))
+        want = run_scan(spec)
+        emit_outputs(want, spec, str(uncached))
+        for name in ("scan.csv", "scan.json"):
+            assert (cached / name).read_bytes() == (uncached / name).read_bytes()
+        assert list(tmp_path.glob("*.npz")) == [table]
+        with np.load(table) as data:
+            assert data["table"].shape == (len(data["energies"]), 6)
+        solved = []
+        monkeypatch.setattr(scan, "_low_spectrum_at", lambda *args: solved.append(args))
+        assert run_scan(spec, cache_dir=str(tmp_path)) == want
+        assert solved == []
+
+    def test_a_table_from_other_package_source_is_not_served(self, tmp_path, monkeypatch):
+        # tables a few ulp off, stored by a package whose source differed: served
+        # to that source's key they move rows, and under this one they are not
+        # served, so the cached scan writes the uncached bytes
+        spec, other = thermal_spec(40, (-0.5, 0.5), (0.0, 0.5, 1.0)), "0" * 64
+        with monkeypatch.context() as patch:
+            patch.setattr(scan, "_source_digest", lambda: other)
+            patch.setattr(scan, "moment_table", lambda v: bellfringe.moment_table(v) * (1 + 1e-12))
+            run_scan(spec, cache_dir=str(tmp_path))
+        with monkeypatch.context() as patch:
+            patch.setattr(scan, "_source_digest", lambda: other)
+            assert run_scan(spec, cache_dir=str(tmp_path)) != run_scan(spec)
+        cached, uncached = tmp_path / "cached", tmp_path / "uncached"
+        emit_outputs(run_scan(spec, cache_dir=str(tmp_path)), spec, str(cached))
+        emit_outputs(run_scan(spec), spec, str(uncached))
+        for name in ("scan.csv", "scan.json"):
+            assert (cached / name).read_bytes() == (uncached / name).read_bytes()
+        assert len(list(tmp_path.glob("*.npz"))) == 4  # the planted two stay
+
     def test_spectrum_cache(self, tmp_path, monkeypatch):
         solved, low_spectrum_at = [], scan._low_spectrum_at
 

@@ -9,9 +9,11 @@ first on the import path, so the digest describes that checkout's sources.
 Each case runs ``bellfringe.cli.main`` in a fresh temporary directory and
 prints one line: the case name, the exit code (argparse's own for a refused
 flag), the sha256 of stdout and the sha256 of every file the case wrote, by
-relative path.  Diffing the output of two checkouts shows every case whose
-bytes differ.  Only the standard library and the checkout's own package are
-used.
+relative path; a case run with ``--cache`` adds the number of ``.npz`` tables
+its cache directory holds after it, so a run that stops reading the tables
+of an earlier case shows up too.  Diffing the output of two checkouts shows
+every case whose bytes differ.  Only the standard library and the checkout's
+own package are used.
 """
 
 from __future__ import annotations
@@ -293,6 +295,9 @@ def run_case(cli_main, name: str, argv: list, config) -> str:
     files = _written(name) if os.path.isdir(name) else []
     parts = [name, f"exit={code}", f"stdout={_sha256(stdout.getvalue().encode())}"]
     parts += [f"{path}={digest}" for path, digest in files]
+    if "--cache" in argv:
+        cache = argv[argv.index("--cache") + 1]
+        parts.append(f"tables={sum(f.endswith('.npz') for f in os.listdir(cache))}")
     return " ".join(parts)
 
 
